@@ -8,7 +8,8 @@
 //! cargo run -p afs-bench --release --bin experiments -- quick   # small parameters
 //! ```
 //!
-//! Each experiment prints the rows recorded in EXPERIMENTS.md.
+//! Each experiment prints its rows; the `afs_sim::experiments` module docs list
+//! which paper claim each id regenerates.
 
 use afs_sim::experiments as exp;
 use afs_sim::experiments::print_rows;

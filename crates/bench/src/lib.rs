@@ -4,7 +4,7 @@
 //!   fast path and validation, serialisability-test cost, cache validation, stable
 //!   storage, copy-on-write, the one-page fast path, OCC vs locking throughput).
 //! * `src/bin/experiments.rs` — the experiment harness binary that regenerates every
-//!   figure/claim row documented in DESIGN.md and EXPERIMENTS.md
+//!   figure/claim row catalogued in the `afs_sim::experiments` module docs
 //!   (`cargo run -p afs-bench --release --bin experiments -- all`).
 
 #![forbid(unsafe_code)]

@@ -1,117 +1,37 @@
 //! A latency-modelling block-store wrapper.
 //!
 //! `MemStore` is deliberately instantaneous, which makes it useless for
-//! studying *I/O-bound* behaviour: against a zero-latency disk, batching calls
-//! and parallelising replica fan-out are unobservable.  [`DelayStore`] wraps
-//! any [`BlockStore`] and charges a simple, honest cost model for reads and
-//! writes:
+//! showing latency-dependent behaviour such as a quorum ack that does not wait
+//! for its slowest replica.  [`DelayStore`] wraps any [`BlockStore`] and makes
+//! every `read`/`write`/`write_batch` call sleep a fixed `per_call` before it
+//! reaches the wrapped store — the round trip or the seek, paid once per call
+//! however many blocks the call moves.  Overlapping calls sleep independently.
 //!
-//! * a **per-call** cost (positioning / request overhead — the RPC round trip
-//!   or the seek), paid once per `read`/`write`/`write_batch` call, and
-//! * a **per-block** cost (transfer), paid once per block moved.
-//!
-//! By default the device serves **one request at a time**: the delay is spent
-//! while an internal mutex is held, like a single disk head.  That is what
-//! lets the benchmarks show the two effects this model exists for — a k-block
-//! `write_batch` costs `per_call + k·per_block` instead of
-//! `k·(per_call + per_block)`, and a shard whose disks are saturated stops
-//! scaling until more shards (more disks) are added.
-//!
-//! [`DelayStore::concurrent`] switches the wrapper to a **concurrent** cost
-//! model: every request still pays its full latency, but overlapping requests
-//! sleep independently instead of queueing on the head.  That models a device
-//! whose latency is dominated by the round trip rather than a serial actuator
-//! (an SSD with internal parallelism, or a network disk), and it is the mode
-//! the high-concurrency benchmarks use — with a serial head, client-side
-//! multiplexing would be invisible because the device itself flattens every
-//! pipeline back to one-at-a-time.
-//!
-//! Allocation and bookkeeping calls are free: they model in-memory metadata,
-//! and charging them would only blur what the experiments measure.
+//! Allocation and bookkeeping calls are free: they model in-memory metadata.
 
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 
 use crate::store::{BlockStore, StoreStats};
 use crate::{BlockNr, Result};
 
-/// A [`BlockStore`] wrapper that charges per-call and per-block latency for
-/// reads and writes, serving one request at a time.
+/// A [`BlockStore`] wrapper that charges a fixed latency per read or write
+/// call.
 pub struct DelayStore<S> {
     inner: S,
     per_call: Duration,
-    per_block: Duration,
-    /// Scripted extra stall added to every charged request while set — the
-    /// "slow replica" fault mode (a partitioned-but-alive disk that answers,
-    /// eventually).  [`Duration::ZERO`] means off.
-    slow: Mutex<Duration>,
-    /// The "disk head": held for the whole duration of a charged request in
-    /// serial mode; bypassed in concurrent mode.
-    busy: Mutex<()>,
-    /// `false` = serial (one request at a time, the default); `true` =
-    /// concurrent (overlapping requests sleep independently).
-    concurrent: bool,
 }
 
 impl<S: BlockStore> DelayStore<S> {
-    /// Wraps `inner`, charging `per_call` once per read/write call and
-    /// `per_block` once per block moved.
-    pub fn new(inner: S, per_call: Duration, per_block: Duration) -> Self {
-        DelayStore {
-            inner,
-            per_call,
-            per_block,
-            slow: Mutex::new(Duration::ZERO),
-            busy: Mutex::new(()),
-            concurrent: false,
-        }
+    /// Wraps `inner`, sleeping `per_call` once per read/write call.
+    pub fn new(inner: S, per_call: Duration) -> Self {
+        DelayStore { inner, per_call }
     }
 
-    /// Switches to the concurrent cost model: every request still pays its
-    /// full latency, but overlapping requests no longer queue on the single
-    /// disk head — they sleep independently.
-    pub fn concurrent(mut self) -> Self {
-        self.concurrent = true;
-        self
-    }
-
-    /// Whether this store serves overlapping requests concurrently (`false`
-    /// is the serial single-head default).
-    pub fn is_concurrent(&self) -> bool {
-        self.concurrent
-    }
-
-    /// Returns a reference to the wrapped store.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Scripts a slow window: every subsequent charged request stalls an extra
-    /// `extra` on top of the cost model, until called again with
-    /// [`Duration::ZERO`].  This is the "straggler replica" fault mode — the
-    /// disk stays alive and correct, it just stops keeping up — used to show
-    /// quorum commits are not gated by the slowest replica.
-    pub fn set_slow(&self, extra: Duration) {
-        *self.slow.lock() = extra;
-    }
-
-    /// The currently scripted extra stall ([`Duration::ZERO`] when none).
-    pub fn slow_for(&self) -> Duration {
-        *self.slow.lock()
-    }
-
-    fn charge(&self, blocks: usize) {
-        let cost = self.per_call + self.per_block * blocks as u32 + *self.slow.lock();
-        if cost.is_zero() {
-            return;
-        }
-        if self.concurrent {
-            std::thread::sleep(cost);
-        } else {
-            let _head = self.busy.lock();
-            std::thread::sleep(cost);
+    fn charge(&self) {
+        if !self.per_call.is_zero() {
+            std::thread::sleep(self.per_call);
         }
     }
 }
@@ -134,18 +54,18 @@ impl<S: BlockStore> BlockStore for DelayStore<S> {
     }
 
     fn read(&self, nr: BlockNr) -> Result<Bytes> {
-        self.charge(1);
+        self.charge();
         self.inner.read(nr)
     }
 
     fn write(&self, nr: BlockNr, data: Bytes) -> Result<()> {
-        self.charge(1);
+        self.charge();
         self.inner.write(nr, data)
     }
 
     fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
-        // The whole point: one positioning cost for the whole batch.
-        self.charge(writes.len());
+        // One call, one charge, however many blocks it carries.
+        self.charge();
         self.inner.write_batch(writes)
     }
 
@@ -178,7 +98,7 @@ mod tests {
 
     #[test]
     fn batch_pays_one_call_cost() {
-        let store = DelayStore::new(MemStore::new(), Duration::from_millis(10), Duration::ZERO);
+        let store = DelayStore::new(MemStore::new(), Duration::from_millis(10));
         let blocks: Vec<BlockNr> = (0..8).map(|_| store.allocate().unwrap()).collect();
         let writes: Vec<(BlockNr, Bytes)> = blocks
             .iter()
@@ -202,57 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn scripted_slow_window_stalls_and_clears() {
-        let store = DelayStore::new(MemStore::new(), Duration::ZERO, Duration::ZERO);
-        let nr = store.allocate().unwrap();
-        store.set_slow(Duration::from_millis(30));
-        let start = Instant::now();
-        store.write(nr, Bytes::from_static(b"slow")).unwrap();
-        assert!(start.elapsed() >= Duration::from_millis(30));
-        store.set_slow(Duration::ZERO);
-        let start = Instant::now();
-        store.write(nr, Bytes::from_static(b"fast")).unwrap();
-        assert!(start.elapsed() < Duration::from_millis(30));
-    }
-
-    #[test]
-    fn concurrent_mode_overlaps_requests_serial_mode_queues_them() {
-        let per_call = Duration::from_millis(20);
-        let threads = 4;
-
-        let run = |store: &DelayStore<MemStore>| {
-            let nr = store.allocate().unwrap();
-            store.write(nr, Bytes::from_static(b"seed")).unwrap();
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| {
-                        store.read(nr).unwrap();
-                    });
-                }
-            });
-            start.elapsed()
-        };
-
-        // Serial head: pays the initial write too, so 4 reads queue behind it.
-        let serial = run(&DelayStore::new(MemStore::new(), per_call, Duration::ZERO));
-        // Concurrent: the 4 reads sleep at the same time.
-        let concurrent =
-            run(&DelayStore::new(MemStore::new(), per_call, Duration::ZERO).concurrent());
-
-        assert!(
-            serial >= per_call * threads,
-            "serial mode must queue {threads} reads one after another (took {serial:?})"
-        );
-        assert!(
-            concurrent < per_call * threads,
-            "concurrent mode must overlap the sleeps (took {concurrent:?} for {threads} reads)"
-        );
-    }
-
-    #[test]
     fn zero_delay_is_transparent() {
-        let store = DelayStore::new(MemStore::new(), Duration::ZERO, Duration::ZERO);
+        let store = DelayStore::new(MemStore::new(), Duration::ZERO);
         let nr = store.allocate().unwrap();
         store.write(nr, Bytes::from_static(b"free")).unwrap();
         assert_eq!(store.read(nr).unwrap(), Bytes::from_static(b"free"));

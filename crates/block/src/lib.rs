@@ -27,11 +27,11 @@
 //! | [`disk`] | [`disk::FileStore`]: file-backed store (the "magnetic disk") |
 //! | [`optical`] | [`WriteOnceStore`]: write-once wrapper (the "optical disk", §6) |
 //! | [`faulty`] | [`FaultyStore`]: fault-injection wrapper (crashes, torn writes, corruption) |
-//! | [`delay`] | [`DelayStore`]: latency-modelling wrapper (per-call + per-block cost, one request at a time) |
+//! | [`delay`] | [`DelayStore`]: latency-modelling wrapper (a fixed sleep per read/write call) |
 //! | [`server`] | [`BlockServer`]: accounts, capabilities, per-block locks, recovery listing |
 //! | [`stable`] | [`StableStore`] (Lampson–Sturgis, 1 server × 2 disks) and [`CompanionPair`] (the paper's 2 server × 2 disk scheme) |
 //! | [`replica`] | [`ReplicatedBlockStore`]: N-replica sets with quorum commits, read-repair, epoch-stamped intention recording and resync (the per-shard storage of the sharded service) |
-//! | [`quorum`] | [`CommitRule`] and the majority arithmetic (quorum-intersection invariants as pure functions) |
+//! | [`quorum`] | [`majority`]: the ack threshold (quorum-intersection invariants as pure functions) |
 //! | [`membership`] | [`Membership`]: viewstamped In/Out/Resyncing replica status with an epoch bumped on every join/leave |
 //!
 //! Block numbers are 28 bits wide ([`BlockNr`]), matching the page-reference layout of
@@ -59,7 +59,7 @@ pub use faulty::{FaultPlan, FaultyStore};
 pub use mem::MemStore;
 pub use membership::{Epoch, Membership, MembershipView, ReplicaStatus};
 pub use optical::WriteOnceStore;
-pub use quorum::{majority, CommitRule};
+pub use quorum::majority;
 pub use replica::{ReplicaSetStats, ReplicatedBlockStore};
 pub use server::{AccountId, BlockServer};
 pub use stable::{CompanionPair, StableStore};

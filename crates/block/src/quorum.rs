@@ -1,51 +1,22 @@
 //! The quorum arithmetic of the replicated write path, kept separate so its
 //! invariants are testable as pure functions.
 //!
-//! A write through [`crate::ReplicatedBlockStore`] is acknowledged once
-//! "enough" of the current epoch's members have durably applied it.  *Enough*
-//! is decided by a [`CommitRule`]:
+//! A write through [`crate::ReplicatedBlockStore`] is acknowledged once a
+//! strict **majority** of the current epoch's In members has durably applied
+//! it.  The slowest replica therefore never gates commit latency, and any two
+//! acknowledged writes share at least one replica (the intersection property
+//! proven below), so no later quorum can miss an earlier ack.
 //!
-//! * [`CommitRule::Quorum`] (the default) acks at a strict **majority** of the
-//!   In members — the slowest replica no longer gates commit latency, and any
-//!   two acknowledged writes share at least one replica (the intersection
-//!   property proven below), so no later quorum can miss an earlier ack;
-//! * [`CommitRule::WriteAll`] is the compatibility toggle: ack only when every
-//!   current member applied, the PR 3 behaviour (useful when a deployment
-//!   wants read-one to *always* hit fresh data without read-repair).
-//!
-//! Both rules are evaluated against the **current** membership, not the
-//! membership at submission time: when a member is deposed mid-write the
-//! denominator shrinks with the epoch bump, which is exactly how a 2-replica
-//! set keeps acknowledging with one replica down (majority of {survivor} = 1).
+//! The majority is taken of the **current** membership, not the membership at
+//! submission time: when a member is deposed mid-write the denominator shrinks
+//! with the epoch bump, which is exactly how a 2-replica set keeps
+//! acknowledging with one replica down (majority of {survivor} = 1).
 
 /// Majority of `n` members: the smallest quorum size such that any two
-/// quorums of an `n`-member set intersect.
+/// quorums of an `n`-member set intersect.  Never less than 1, even for an
+/// empty set: an acknowledged write must exist somewhere.
 pub fn majority(n: usize) -> usize {
     n / 2 + 1
-}
-
-/// How many of the current epoch's members must durably apply a write before
-/// it is acknowledged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommitRule {
-    /// Acknowledge at a strict majority of the In members; stragglers finish
-    /// in the background and are deposed (then resynced) if they fail.
-    #[default]
-    Quorum,
-    /// Acknowledge only when every In member applied — the pre-quorum
-    /// behaviour, kept as a compatibility toggle.
-    WriteAll,
-}
-
-impl CommitRule {
-    /// The ack threshold for a member set of `members` In replicas.  Never
-    /// less than 1: an acknowledged write must exist somewhere.
-    pub fn needed(self, members: usize) -> usize {
-        match self {
-            CommitRule::Quorum => majority(members),
-            CommitRule::WriteAll => members.max(1),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -57,6 +28,28 @@ mod tests {
         for (n, m) in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (6, 4), (7, 4)] {
             assert_eq!(majority(n), m, "majority({n})");
         }
+    }
+
+    /// An ack from every member always reaches the threshold, and the
+    /// threshold is a strict majority and never less: a pair still needs both
+    /// replicas, and an empty set still needs one ack.
+    #[test]
+    fn write_all_needs_every_member_and_quorum_needs_a_majority() {
+        for n in 1..=10usize {
+            assert!(majority(n) <= n, "every member of {n} is enough");
+            assert!(2 * majority(n) > n, "majority({n}) is more than half");
+            assert!(
+                2 * (majority(n) - 1) <= n,
+                "majority({n}) is the least such"
+            );
+        }
+        assert_eq!(majority(3), 2);
+        assert_eq!(majority(2), 2, "a pair still needs both");
+        assert_eq!(majority(1), 1);
+        // Degenerate empty member set: the threshold stays at least one, so an
+        // ack can never be granted with no members (the write path refuses
+        // earlier anyway).
+        assert_eq!(majority(0), 1);
     }
 
     /// The intersection property, by exhaustive bitmask enumeration: any two
@@ -100,23 +93,5 @@ mod tests {
                 "two {k}-subsets of an {n}-set should be constructible disjoint"
             );
         }
-    }
-
-    #[test]
-    fn write_all_needs_every_member_and_quorum_needs_a_majority() {
-        assert_eq!(CommitRule::WriteAll.needed(3), 3);
-        assert_eq!(CommitRule::Quorum.needed(3), 2);
-        assert_eq!(CommitRule::Quorum.needed(2), 2, "a pair still needs both");
-        assert_eq!(CommitRule::Quorum.needed(1), 1);
-        // Degenerate empty member set: the threshold stays at least one, so an
-        // ack can never be granted with no members (the write path refuses
-        // earlier anyway).
-        assert_eq!(CommitRule::WriteAll.needed(0), 1);
-        assert_eq!(CommitRule::Quorum.needed(0), 1);
-    }
-
-    #[test]
-    fn quorum_is_the_default_rule() {
-        assert_eq!(CommitRule::default(), CommitRule::Quorum);
     }
 }

@@ -8,13 +8,11 @@
 //!
 //! * **quorum writes** — a write (or batch of writes) is submitted to every
 //!   member of the current epoch's replica set and acknowledged once a
-//!   **majority** of them has durably applied it ([`CommitRule::Quorum`], the
-//!   default).  Each replica applies its stream through a dedicated worker in
-//!   strict submission order, so the slowest replica no longer gates commit
-//!   latency: stragglers finish in the background, and a straggler that fails
-//!   is deposed and queues the missed batch as an intention.
-//!   [`CommitRule::WriteAll`] is the compatibility toggle restoring the PR 3
-//!   ack-everyone behaviour;
+//!   **majority** of them has durably applied it ([`crate::majority`]).  Each
+//!   replica applies its stream through a dedicated worker in strict
+//!   submission order, so the slowest replica never gates commit latency:
+//!   stragglers finish in the background, and a straggler that fails is
+//!   deposed and queues the missed batch as an intention;
 //! * **epoch-managed membership** — who is In, who is Out, and who is
 //!   Resyncing lives in a viewstamped [`Membership`] view whose epoch bumps on
 //!   every join or leave.  The quorum denominator is always the *current*
@@ -63,7 +61,7 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::membership::{Epoch, Membership, ReplicaStatus};
-use crate::quorum::CommitRule;
+use crate::quorum::majority;
 use crate::store::{BlockStore, StoreStats};
 use crate::{BlockError, BlockNr, Result};
 
@@ -211,7 +209,6 @@ enum FreeOutcome {
 
 /// Counters and state shared between the coordinator and the replica workers.
 struct Shared {
-    rule: CommitRule,
     membership: Membership,
     replicas: Vec<Replica>,
     next_seq: AtomicU64,
@@ -431,21 +428,12 @@ pub struct ReplicatedBlockStore {
 }
 
 impl ReplicatedBlockStore {
-    /// Creates a replica set over the given disks with the default
-    /// [`CommitRule::Quorum`].  At least one replica is required; two or more
-    /// are needed for any fault tolerance.
+    /// Creates a replica set over the given disks.  At least one replica is
+    /// required; two or more are needed for any fault tolerance.
     pub fn new(stores: Vec<Arc<dyn BlockStore>>) -> Arc<Self> {
-        Self::with_rule(stores, CommitRule::default())
-    }
-
-    /// Creates a replica set with an explicit commit rule —
-    /// [`CommitRule::WriteAll`] is the compatibility toggle restoring the
-    /// ack-every-member behaviour.
-    pub fn with_rule(stores: Vec<Arc<dyn BlockStore>>, rule: CommitRule) -> Arc<Self> {
         assert!(!stores.is_empty(), "a replica set needs at least one disk");
         let n = stores.len();
         let shared = Arc::new(Shared {
-            rule,
             membership: Membership::new(n),
             replicas: stores
                 .into_iter()
@@ -502,11 +490,6 @@ impl ReplicatedBlockStore {
     /// Number of replicas currently In (serving reads and acking quorums).
     pub fn live_count(&self) -> usize {
         self.shared.membership.in_count()
-    }
-
-    /// The commit rule the set acknowledges under.
-    pub fn commit_rule(&self) -> CommitRule {
-        self.shared.rule
     }
 
     /// The current membership epoch.
@@ -676,23 +659,21 @@ impl ReplicatedBlockStore {
     /// The shared write path of [`BlockStore::write`] and
     /// [`BlockStore::write_batch`]: submit the put batch to every member of
     /// the current epoch's replica set (queueing an epoch-stamped intention
-    /// for every absent replica), then wait for outcomes until the commit
-    /// rule's threshold of the *current* membership is reached.
+    /// for every absent replica), then wait for outcomes until a strict
+    /// majority of the *current* membership has applied it.
     ///
-    /// Under [`CommitRule::Quorum`] that is a strict majority of the In
-    /// members: stragglers keep applying in the background in stream order,
-    /// and a straggler that fails is deposed by its worker with the batch
-    /// queued.  The threshold is re-evaluated against the current membership
-    /// on every outcome, so a member that dies mid-write shrinks the
-    /// denominator (with an epoch bump) instead of wedging the ack.
+    /// Stragglers keep applying in the background in stream order, and a
+    /// straggler that fails is deposed by its worker with the batch queued.
+    /// The threshold is re-evaluated against the current membership on every
+    /// outcome, so a member that dies mid-write shrinks the denominator (with
+    /// an epoch bump) instead of wedging the ack.
     ///
     /// Nothing stays queued unless some part of the batch may exist on some
     /// disk — a batch that exists nowhere must never be replayed by resync.
     /// A batch rejected by a live disk fails the call even if others applied
-    /// it (the rejection is evidence of a real fault, and the old write-all
-    /// promise that an error means "not every live replica holds this" is
-    /// worth keeping), with the rejecting replica deposed and converged
-    /// forward via resync.
+    /// it (the rejection is evidence of a real fault, and the promise that an
+    /// error means "not every live replica holds this" is worth keeping), with
+    /// the rejecting replica deposed and converged forward via resync.
     fn fan_out_puts(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
         if writes.is_empty() {
             return Ok(());
@@ -784,7 +765,7 @@ impl ReplicatedBlockStore {
                     }
                 }
             }
-            if first_error.is_none() && successes >= self.shared.rule.needed(denom) {
+            if first_error.is_none() && successes >= majority(denom) {
                 if received < total {
                     self.shared
                         .quorum_short_acks
@@ -1578,7 +1559,7 @@ mod tests {
         let stores: Vec<Arc<dyn BlockStore>> = vec![
             Arc::new(MemStore::new()),
             Arc::new(MemStore::new()),
-            Arc::new(DelayStore::new(MemStore::new(), slow, Duration::ZERO)),
+            Arc::new(DelayStore::new(MemStore::new(), slow)),
         ];
         let replicas = ReplicatedBlockStore::new(stores);
         let nr = replicas.allocate().unwrap();
@@ -1591,27 +1572,6 @@ mod tests {
         );
         assert!(replicas.replica_stats().quorum_short_acks >= 1);
         // The straggler still applies everything, in order.
-        assert!(replicas.divergent_blocks().is_empty());
-    }
-
-    #[test]
-    fn write_all_toggle_waits_for_every_member() {
-        let slow = Duration::from_millis(60);
-        let stores: Vec<Arc<dyn BlockStore>> = vec![
-            Arc::new(MemStore::new()),
-            Arc::new(MemStore::new()),
-            Arc::new(DelayStore::new(MemStore::new(), slow, Duration::ZERO)),
-        ];
-        let replicas = ReplicatedBlockStore::with_rule(stores, CommitRule::WriteAll);
-        assert_eq!(replicas.commit_rule(), CommitRule::WriteAll);
-        let nr = replicas.allocate().unwrap();
-        let start = Instant::now();
-        replicas.write(nr, Bytes::from_static(b"all")).unwrap();
-        let acked = start.elapsed();
-        assert!(
-            acked >= slow,
-            "write-all must wait for the {slow:?} straggler, acked in {acked:?}"
-        );
         assert!(replicas.divergent_blocks().is_empty());
     }
 

@@ -153,25 +153,24 @@ impl FileService {
     /// again before commit) are freed without ever being written.  Returns the
     /// number of pages flushed.
     ///
-    /// With [`crate::ServiceConfig::batch_flush`] (the default) the physical
-    /// shape is **one scatter-gather batch of all data pages, then the version
-    /// page by itself**: two block-write calls per commit instead of one per
-    /// dirty page, and over replicated storage two RPCs per replica.  The
-    /// children-first order is preserved *inside* the batch and stores apply
-    /// batch entries in order, so the crash invariant is unchanged; keeping the
-    /// version page out of the batch keeps it strictly last — it becomes
-    /// durable only after every data page it references.
+    /// The physical shape is **one scatter-gather batch of all data pages, then
+    /// the version page by itself**: two block-write calls per commit instead of
+    /// one per dirty page, and over replicated storage two RPCs per replica.
+    /// The children-first order is preserved *inside* the batch and stores
+    /// apply batch entries in order, so a crash mid-batch leaves only a
+    /// children-first prefix durable; keeping the version page out of the batch
+    /// keeps it strictly last — it becomes durable only after every data page
+    /// it references.
     ///
-    /// Under quorum commits (`amoeba_block::CommitRule::Quorum`, the replica
-    /// set's default) each call is acknowledged once a majority of the current
-    /// membership epoch applied it, so the strictly-last guarantee holds **per
-    /// acknowledged quorum** rather than per replica: the version-page call is
-    /// issued only after the data batch was quorum-acked, each replica
-    /// receives both through one FIFO stream (never the version page before
-    /// the data), and a replica that missed either is barred from reads until
-    /// an epoch-stamped resync replays its ordered intentions.  Any replica
-    /// eligible to serve a read therefore saw the version page only after
-    /// every page it references — the same invariant, quorum-wide.
+    /// Over a replica set each call is acknowledged once a majority of the
+    /// current membership epoch applied it, so the strictly-last guarantee
+    /// holds **per acknowledged quorum** rather than per replica: the
+    /// version-page call is issued only after the data batch was quorum-acked,
+    /// each replica receives both through one FIFO stream (never the version
+    /// page before the data), and a replica that missed either is barred from
+    /// reads until an epoch-stamped resync replays its ordered intentions.  Any
+    /// replica eligible to serve a read therefore saw the version page only
+    /// after every page it references — the same invariant, quorum-wide.
     pub(crate) fn flush_version_to_disk(&self, meta: &mut VersionMeta) -> Result<usize> {
         if meta.dirty_blocks.is_empty() {
             return Ok(0);
@@ -185,20 +184,16 @@ impl FileService {
         let mut order = Vec::with_capacity(meta.dirty_blocks.len());
         let mut visited = std::collections::HashSet::new();
         self.collect_flush_order(meta.block, &mut visited, &mut order)?;
-        let flushed = if self.config.batch_flush {
-            match order.split_last() {
-                // The walk pushes its root — the version page — last.
-                Some((&version_page, data_pages)) => {
-                    let mut flushed = self
-                        .pages
-                        .flush_blocks_batched(data_pages.iter().copied())?;
-                    flushed += self.pages.flush_blocks_batched([version_page])?;
-                    flushed
-                }
-                None => 0,
+        let flushed = match order.split_last() {
+            // The walk pushes its root — the version page — last.
+            Some((&version_page, data_pages)) => {
+                let mut flushed = self
+                    .pages
+                    .flush_blocks_batched(data_pages.iter().copied())?;
+                flushed += self.pages.flush_blocks_batched([version_page])?;
+                flushed
             }
-        } else {
-            self.pages.flush_blocks(order)?
+            None => 0,
         };
         let dirty = std::mem::take(&mut meta.dirty_blocks);
         for nr in dirty {

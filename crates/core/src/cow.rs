@@ -24,10 +24,9 @@
 //!
 //! Shadowing and flag maintenance are *logical* operations: the paper only requires
 //! the version's pages to be on disk at commit time.  Page writes made here
-//! therefore go to the write-back buffer of [`crate::pageio::PageIo`] (when
-//! [`crate::ServiceConfig::write_back`] is on, the default) and are flushed in one
-//! batch by [`crate::commit`], so a k-operation update costs O(dirty pages)
-//! physical writes at commit instead of O(k·depth) along the way.
+//! therefore always go to the write-back buffer of [`crate::pageio::PageIo`] and
+//! are flushed in one batch by [`crate::commit`], so a k-operation update costs
+//! O(dirty pages) physical writes at commit instead of O(k·depth) along the way.
 //!
 //! On top of that, the traversal **elides rewrites of unchanged pages**: once a
 //! path is shadowed and its C/S flags are set, repeated accesses through it leave
@@ -275,29 +274,18 @@ impl FileService {
     // The traversal engine.
     // ------------------------------------------------------------------
 
-    /// Stages a modified page of an uncommitted version: into the write-back buffer
-    /// (tracked in the version's dirty set) or, with write-back disabled, straight
-    /// through to the block service.
-    fn stage_page(&self, meta: &mut VersionMeta, nr: BlockNr, page: &Arc<Page>) -> Result<()> {
-        if self.config.write_back {
-            self.pages.write_page_buffered(nr, page);
-            meta.dirty_blocks.insert(nr);
-            Ok(())
-        } else {
-            self.pages.write_page(nr, page)
-        }
+    /// Stages a modified page of an uncommitted version into the write-back buffer,
+    /// tracked in the version's dirty set.
+    fn stage_page(&self, meta: &mut VersionMeta, nr: BlockNr, page: &Arc<Page>) {
+        self.pages.write_page_buffered(nr, page);
+        meta.dirty_blocks.insert(nr);
     }
 
     /// Allocates a block for a brand-new private page of an uncommitted version,
-    /// buffered or write-through per configuration, and records ownership.
+    /// buffers the page, and records ownership.
     fn stage_new_page(&self, meta: &mut VersionMeta, page: &Arc<Page>) -> Result<BlockNr> {
-        let nr = if self.config.write_back {
-            let nr = self.pages.allocate_page_buffered(page)?;
-            meta.dirty_blocks.insert(nr);
-            nr
-        } else {
-            self.pages.allocate_page(page)?
-        };
+        let nr = self.pages.allocate_page_buffered(page)?;
+        meta.dirty_blocks.insert(nr);
         meta.owned_blocks.insert(nr);
         Ok(nr)
     }
@@ -342,7 +330,7 @@ impl FileService {
                 .expect("version page has a header")
                 .root_flags = new_flags;
             let outcome = self.apply_target_access(vmut, &mut meta, access)?;
-            self.stage_page(&mut meta, root_block, &vpage)?;
+            self.stage_page(&mut meta, root_block, &vpage);
             return Ok(outcome);
         }
 
@@ -451,16 +439,16 @@ impl FileService {
             let outcome =
                 self.apply_target_access(Arc::make_mut(&mut current_page), &mut meta, access)?;
             // Stage the target first, then the (private) pages along the path, root
-            // last, so the buffer (and, in write-through mode, the disk) never holds
-            // a parent referencing a page that has not been staged yet.
-            self.stage_page(&mut meta, current_block, &current_page)?;
+            // last, so the buffer never holds a parent referencing a page that has
+            // not been staged yet.
+            self.stage_page(&mut meta, current_block, &current_page);
             outcome
         } else {
             read_only_outcome(&current_page, &access)?
         };
         for (block, page, dirty) in trail.into_iter().rev() {
             if dirty {
-                self.stage_page(&mut meta, block, &page)?;
+                self.stage_page(&mut meta, block, &page);
             }
         }
         Ok(outcome)
@@ -668,6 +656,75 @@ mod tests {
             after_second.pages_allocated - after_first.pages_allocated,
             0
         );
+    }
+
+    #[test]
+    fn shadow_trail_rewrites_are_elided_on_repeated_access() {
+        let service = FileService::in_memory();
+        let file = service.create_file().unwrap();
+        let setup = service.create_version(&file).unwrap();
+        let interior = service
+            .append_page(&setup, &PagePath::root(), Bytes::from_static(b"interior"))
+            .unwrap();
+        let leaf = service
+            .append_page(&setup, &interior, Bytes::from_static(b"leaf"))
+            .unwrap();
+        service.commit(&setup).unwrap();
+
+        let v = service.create_version(&file).unwrap();
+        service
+            .write_page(&v, &leaf, Bytes::from_static(b"first"))
+            .unwrap();
+        // The buffered pages along the shadowed trail root → interior → leaf.
+        let trail = || {
+            let root_block = service
+                .resolve_version(&v, Rights::READ)
+                .unwrap()
+                .lock()
+                .block;
+            let root = service.pages.read_page(root_block).unwrap();
+            let interior = service
+                .pages
+                .read_page(root.ref_at(0).unwrap().block)
+                .unwrap();
+            let leaf = service
+                .pages
+                .read_page(interior.ref_at(0).unwrap().block)
+                .unwrap();
+            (root, interior, leaf)
+        };
+
+        // Repeated writes through the now fully shadowed, fully flagged trail
+        // restage only the leaf: the version page and the interior page stay the
+        // very same buffered allocations.
+        let (root_before, interior_before, leaf_before) = trail();
+        for i in 0..5u8 {
+            service.write_page(&v, &leaf, Bytes::from(vec![i])).unwrap();
+        }
+        let (root_after, interior_after, leaf_after) = trail();
+        assert!(
+            Arc::ptr_eq(&root_before, &root_after),
+            "version page rewritten"
+        );
+        assert!(
+            Arc::ptr_eq(&interior_before, &interior_after),
+            "interior page rewritten"
+        );
+        assert!(!Arc::ptr_eq(&leaf_before, &leaf_after));
+        assert_eq!(leaf_after.data, Bytes::from(vec![4u8]));
+
+        // Repeated reads of an already read page restage nothing at all.  (The
+        // first read records the R flag in the leaf's parent, one restage.)
+        service.read_page(&v, &leaf).unwrap();
+        let (root_before, interior_before, leaf_before) = trail();
+        for _ in 0..5 {
+            service.read_page(&v, &leaf).unwrap();
+        }
+        let (root_after, interior_after, leaf_after) = trail();
+        assert!(Arc::ptr_eq(&root_before, &root_after));
+        assert!(Arc::ptr_eq(&interior_before, &interior_after));
+        assert!(Arc::ptr_eq(&leaf_before, &leaf_after));
+        service.commit(&v).unwrap();
     }
 
     #[test]

@@ -286,11 +286,32 @@ impl FileService {
         retained_chain: &[BlockNr],
         removed_versions: &[BlockNr],
     ) -> Result<usize> {
-        // Mark.  The committed chain is re-walked *live* (by following commit
-        // references from the retained oldest version) rather than from the snapshot
-        // taken at the start of the pass: commits only ever append to the chain, and
-        // a version committed while this pass was running must be treated as
-        // reachable even though it was uncommitted when the pass began.
+        // The sweep candidates are the versions committed *before* the mark.  A
+        // version that commits during the mark may have staged new blocks after
+        // its uncommitted root was marked; taking it as a candidate would free
+        // those live blocks.  Its garbage waits for the next pass.
+        let committed_versions: Vec<Arc<parking_lot::Mutex<crate::service::VersionMeta>>> = {
+            let versions = self.versions.read();
+            versions
+                .values()
+                .filter(|meta| {
+                    let meta = meta.lock();
+                    meta.file == file_id && meta.state == VersionState::Committed
+                })
+                .cloned()
+                .collect()
+        };
+
+        // Mark.  The uncommitted roots are listed *before* the committed chain is
+        // walked: a version that commits between the end of the walk and the
+        // listing would otherwise be on neither, and the pages it shares with
+        // older versions would be swept.  The chain is re-walked *live* (by
+        // following commit references from the retained oldest version) rather
+        // than from the snapshot taken at the start of the pass: commits only ever
+        // append to the chain, and a version committed while this pass was running
+        // must be treated as reachable even though it was uncommitted when the
+        // pass began.
+        let uncommitted = self.uncommitted_roots(file_id);
         let mut reachable: HashSet<BlockNr> = HashSet::new();
         let mut cursor = match retained_chain.first() {
             Some(&first) => first,
@@ -304,23 +325,12 @@ impl FileService {
                 None => break,
             }
         }
-        for block in self.uncommitted_roots(file_id) {
+        for block in uncommitted {
             self.collect_reachable(block, &mut reachable)?;
         }
 
         // Sweep blocks owned by committed versions.
         let mut freed = 0usize;
-        let committed_versions: Vec<Arc<parking_lot::Mutex<crate::service::VersionMeta>>> = {
-            let versions = self.versions.read();
-            versions
-                .values()
-                .filter(|meta| {
-                    let meta = meta.lock();
-                    meta.file == file_id && meta.state == VersionState::Committed
-                })
-                .cloned()
-                .collect()
-        };
         for meta in committed_versions {
             let owned: Vec<BlockNr> = meta.lock().owned_blocks.iter().copied().collect();
             for nr in owned {

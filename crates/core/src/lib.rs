@@ -77,8 +77,7 @@
 //! cache, the workloads, the conformance suite) runs over 1 or N shards
 //! unchanged.  Each shard keeps its blocks on an N-replica
 //! `amoeba_block::ReplicatedBlockStore`: a write is acknowledged once a
-//! majority of the current membership epoch has durably applied it
-//! (`CommitRule::Quorum`, the default — `WriteAll` is kept as a toggle),
+//! majority of the current membership epoch has durably applied it,
 //! missed writes are queued as sequence-stamped intentions and replayed by an
 //! epoch-stamped resync before the replica serves reads again, and fail-over
 //! reads repair stale copies they detect.  The per-shard commit keeps the
@@ -135,12 +134,9 @@
 //! that serves reads saw the version page only after every page it
 //! references.  Aborted versions never touch the disk at all, and crash
 //! recovery treats an unflushed uncommitted version as aborted, which is the
-//! paper's redo rule.  Set [`ServiceConfig::write_back`] to `false` to restore
-//! write-through page I/O, and [`ServiceConfig::batch_flush`] to `false` to
-//! restore the per-page flush (both used by the `perf-smoke` benchmark to
-//! measure their deltas, reported in
-//! [`PageIoStats::pages_flushed_at_commit`] and
-//! [`PageIoStats::block_write_calls`]).
+//! paper's redo rule.  This is the only staging and flush path: the commit's
+//! cost is visible in [`PageIoStats::pages_flushed_at_commit`] and
+//! [`PageIoStats::block_write_calls`].
 //!
 //! ## Module map
 //!

@@ -411,8 +411,12 @@ impl FileService {
                 Ok(Some(holder)) => self.wait_for_lock_clear(current_block, holder)?,
                 Err(_) => {
                     // The sub-file's current version changed under us; re-resolve.
-                    let mut meta = sub_file.lock();
-                    let fresh = self.current_version_block_locked(&mut meta)?;
+                    // The bookkeeping lock is released before the retry, which
+                    // takes it again.
+                    let fresh = {
+                        let mut meta = sub_file.lock();
+                        self.current_version_block_locked(&mut meta)?
+                    };
                     if fresh == current_block {
                         return Err(FsError::WouldBlock);
                     }

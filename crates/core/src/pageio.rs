@@ -11,13 +11,12 @@
 //!   [`crate::commit`] immediately before the commit-reference test-and-set:
 //!   one scatter-gather [`PageIo::flush_blocks_batched`] call carrying every
 //!   dirty data page (children-first order preserved inside the batch), then
-//!   the version page by itself, strictly last.  ([`PageIo::flush_blocks`] is
-//!   the per-page fallback, kept for the before/after measurement.)  Aborts
-//!   simply drop the buffer; crash recovery treats an unflushed uncommitted
-//!   version as aborted, which is exactly the paper's "uncommitted versions
-//!   need not be salvaged" rule.  The overlay is *authoritative* for the blocks
-//!   it holds: every read path consults it first, because a buffered block's
-//!   on-disk contents do not exist yet.
+//!   the version page by itself, strictly last.  Aborts simply drop the
+//!   buffer; crash recovery treats an unflushed uncommitted version as
+//!   aborted, which is exactly the paper's "uncommitted versions need not be
+//!   salvaged" rule.  The overlay is *authoritative* for the blocks it holds:
+//!   every read path consults it first, because a buffered block's on-disk
+//!   contents do not exist yet.
 //!
 //! * **A sharded clean-page cache of `Arc<Page>`.**  The optional flag cache of
 //!   §5.4 ("The Amoeba File Servers can also conveniently cache the concurrency
@@ -61,13 +60,13 @@ pub struct PageIoStats {
     /// touching the block service.
     pub cache_hits: u64,
     /// Physical page writes performed by commit-time flushes of the write-back
-    /// buffer.  The write-through cost of the same workload is the number of
-    /// buffered (logical) writes; the difference is the I/O the write-back design
-    /// elides.
+    /// buffer: O(dirty pages) per commit, however many logical writes staged
+    /// them.  The rest of `page_writes` is commit bookkeeping (test-and-set,
+    /// lock fields) and direct writes (file creation, merge).
     pub pages_flushed_at_commit: u64,
     /// Physical block-write *calls* issued to the block service, as opposed to
-    /// pages written: a batched k-page commit flush counts one call, a
-    /// write-through page write counts one call per page.
+    /// pages written: a k-page commit flush counts at most two (the data batch,
+    /// then the version page), and every direct page write counts one.
     /// `page_writes / block_write_calls` is the realised batching factor — the
     /// observable form of the k-pages-in-1-call claim.
     pub block_write_calls: u64,
@@ -196,6 +195,15 @@ impl PageCache {
 
     fn insert(&self, nr: BlockNr, page: &Arc<Page>) {
         self.shard(nr).lock().insert(nr, Arc::clone(page));
+    }
+
+    /// Caches a page just read from disk, unless a concurrent update installed
+    /// a newer copy while the read was in flight.
+    fn fill(&self, nr: BlockNr, page: &Arc<Page>) {
+        let mut shard = self.shard(nr).lock();
+        if !shard.map.contains_key(&nr) {
+            shard.insert(nr, Arc::clone(page));
+        }
     }
 
     fn remove(&self, nr: BlockNr) {
@@ -407,7 +415,7 @@ impl PageIo {
     // ------------------------------------------------------------------
 
     /// Allocates a block number for `page` but keeps the contents in the write-back
-    /// buffer; nothing is physically written until [`PageIo::flush_blocks`].
+    /// buffer; nothing is physically written until [`PageIo::flush_blocks_batched`].
     pub fn allocate_page_buffered(&self, page: &Arc<Page>) -> Result<BlockNr> {
         let nr = self.server.allocate(&self.account)?;
         self.allocated.fetch_add(1, Ordering::Relaxed);
@@ -432,52 +440,18 @@ impl PageIo {
         self.overlay.remove(nr);
     }
 
-    /// Physically writes the buffered pages of `blocks` one page per write
-    /// call, in the given order, and removes them from the write-back buffer.
-    /// Blocks with no buffered contents are skipped.  Returns the number of
-    /// pages written.
-    ///
-    /// This is the unbatched flush ([`crate::ServiceConfig::batch_flush`] off);
-    /// [`PageIo::flush_blocks_batched`] is the one-scatter-gather-call fast
-    /// path.  The caller is responsible for ordering: [`crate::commit`] passes
-    /// children before parents with the version page last, so a crash mid-flush
-    /// can never leave a durable page referencing a page that was not written.
-    pub fn flush_blocks<I: IntoIterator<Item = BlockNr>>(&self, blocks: I) -> Result<usize> {
-        let mut flushed = 0usize;
-        for nr in blocks {
-            // Take the entry out in one lock acquisition; on a failed write it is
-            // restored so the caller can retry the flush later without data loss.
-            let Some(page) = self.overlay.remove(nr) else {
-                continue;
-            };
-            let result = page
-                .encode()
-                .and_then(|encoded| Ok(self.server.write(&self.account, nr, encoded)?));
-            if let Err(e) = result {
-                self.overlay.insert(nr, page);
-                return Err(e);
-            }
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.write_calls.fetch_add(1, Ordering::Relaxed);
-            self.flushed_at_commit.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                cache.insert(nr, &page);
-            }
-            flushed += 1;
-        }
-        Ok(flushed)
-    }
-
     /// Physically writes the buffered pages of `blocks` as **one scatter-gather
     /// block-write call**, preserving the given order within the batch, and
     /// removes them from the write-back buffer.  Blocks with no buffered
     /// contents are skipped.  Returns the number of pages written.
     ///
-    /// Ordering still matters even batched: stores apply batch entries in
-    /// order (see [`amoeba_block::BlockStore::write_batch`]), so a crash
-    /// mid-batch leaves a children-first prefix durable, never a parent without
-    /// its children.  On failure every taken page is restored to the buffer —
-    /// re-flushing an already-applied prefix is an idempotent re-put.
+    /// The caller is responsible for ordering: [`crate::commit`] passes
+    /// children before parents and flushes the version page last, in a call of
+    /// its own.  Stores apply batch entries in order (see
+    /// [`amoeba_block::BlockStore::write_batch`]), so a crash mid-batch leaves
+    /// a children-first prefix durable, never a parent without its children.
+    /// On failure every taken page is restored to the buffer — re-flushing an
+    /// already-applied prefix is an idempotent re-put.
     pub fn flush_blocks_batched<I: IntoIterator<Item = BlockNr>>(
         &self,
         blocks: I,
@@ -545,7 +519,7 @@ impl PageIo {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let page = Arc::new(Page::decode(raw)?);
         if let Some(cache) = &self.cache {
-            cache.insert(nr, &page);
+            cache.fill(nr, &page);
         }
         Ok(page)
     }
@@ -624,29 +598,43 @@ impl PageIo {
             }
             // Raced with a flush: fall through to the disk path below.
         }
-        let result: Result<(R, Option<Page>)> =
-            self.server.update_block_with(&self.account, nr, |raw| {
-                let page = Page::decode(raw)?;
-                // The decoded page is already private, so the view starts
-                // owned: mutable access costs nothing extra.
-                let mut view = PageMut::owned(page);
-                let (write_back, value) = f(&mut view)?;
-                if write_back {
-                    let written = view.into_written().expect("owned view keeps its page");
-                    let encoded = written.encode()?;
-                    Ok((Some(encoded), (value, Some(written))))
-                } else {
-                    Ok((None, (value, None)))
+        let mut installed = false;
+        let result: Result<(R, bool)> = self.server.update_block_with(&self.account, nr, |raw| {
+            let page = Page::decode(raw)?;
+            // The decoded page is already private, so the view starts
+            // owned: mutable access costs nothing extra.
+            let mut view = PageMut::owned(page);
+            let (write_back, value) = f(&mut view)?;
+            if write_back {
+                let written = Arc::new(view.into_written().expect("owned view keeps its page"));
+                let encoded = written.encode()?;
+                // Install the new page while the block lock is still held, so
+                // two updates of one block reach the cache in the order they
+                // reach the disk.  Installed after the unlock, the earlier
+                // update could land last and leave a stale page cached.
+                if let Some(cache) = &self.cache {
+                    cache.insert(nr, &written);
+                    installed = true;
                 }
-            });
-        let (value, written) = result?;
+                Ok((Some(encoded), (value, true)))
+            } else {
+                Ok((None, (value, false)))
+            }
+        });
+        let (value, written) = match result {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The physical write may have failed after the page was installed.
+                if let (true, Some(cache)) = (installed, &self.cache) {
+                    cache.remove(nr);
+                }
+                return Err(e);
+            }
+        };
         self.reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(page) = written {
+        if written {
             self.writes.fetch_add(1, Ordering::Relaxed);
             self.write_calls.fetch_add(1, Ordering::Relaxed);
-            if let Some(cache) = &self.cache {
-                cache.insert(nr, &Arc::new(page));
-            }
         }
         Ok(value)
     }
@@ -753,7 +741,7 @@ mod tests {
             Bytes::from(vec![9u8])
         );
 
-        let flushed = io.flush_blocks([nr]).unwrap();
+        let flushed = io.flush_blocks_batched([nr]).unwrap();
         assert_eq!(flushed, 1);
         let total = io.stats().since(&before);
         assert_eq!(total.page_writes, 1, "ten logical writes, one physical");
@@ -818,7 +806,7 @@ mod tests {
         let io = page_io(Some(16));
         let nr = io.allocate_page_buffered(&leaf(b"doomed")).unwrap();
         io.drop_buffered(nr);
-        assert_eq!(io.flush_blocks([nr]).unwrap(), 0);
+        assert_eq!(io.flush_blocks_batched([nr]).unwrap(), 0);
         // The block is still allocated but holds no decodable page.
         assert!(io.read_page(nr).is_err());
         io.free_page(nr).unwrap();

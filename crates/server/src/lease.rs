@@ -92,7 +92,6 @@ pub struct LeaseManager {
     ttl: Duration,
     inner: Mutex<LeaseInner>,
     granted: AtomicU64,
-    broken: AtomicU64,
 }
 
 impl LeaseManager {
@@ -108,7 +107,6 @@ impl LeaseManager {
             ttl,
             inner: Mutex::new(LeaseInner::default()),
             granted: AtomicU64::new(0),
-            broken: AtomicU64::new(0),
         }
     }
 
@@ -183,7 +181,6 @@ impl LeaseManager {
             if now >= grant.expiry || grant.channel.is_closed() {
                 continue;
             }
-            self.broken.fetch_add(1, Ordering::Relaxed);
             if let Some(ticket) = grant.channel.push(port, payload.clone()) {
                 pending.push((grant.channel, ticket, grant.expiry));
             }
@@ -218,12 +215,6 @@ impl LeaseManager {
     /// Total leases granted over this manager's lifetime.
     pub fn granted_total(&self) -> u64 {
         self.granted.load(Ordering::Relaxed)
-    }
-
-    /// Total leases broken by settling writers (expired and dead-connection
-    /// grants are dropped, not broken).
-    pub fn broken_total(&self) -> u64 {
-        self.broken.load(Ordering::Relaxed)
     }
 }
 
@@ -339,7 +330,6 @@ mod tests {
         );
         assert_eq!(b.pushes.lock().len(), 1);
         assert_eq!(mgr.live_grants(7), 0);
-        assert_eq!(mgr.broken_total(), 2);
 
         // While settling, new grants are refused (writer priority)...
         assert!(mgr.grant(7, &as_dyn(&a)).is_none());
@@ -362,7 +352,6 @@ mod tests {
         let _guard = mgr.settle(3, Port::from_raw(1));
         assert!(start.elapsed() < Duration::from_millis(500));
         assert!(doomed.pushes.lock().is_empty());
-        assert_eq!(mgr.broken_total(), 0);
         // And the closed channel can't re-acquire.
         drop(_guard);
         assert!(mgr.grant(3, &as_dyn(&doomed)).is_none());
@@ -424,7 +413,10 @@ mod tests {
             assert!(mgr.grant(u64::MAX, &as_dyn(&c)).is_some());
         }
         let tracked = mgr.inner.lock().grants.len();
-        assert!(tracked <= 2, "cold grant entries must be swept, {tracked} left");
+        assert!(
+            tracked <= 2,
+            "cold grant entries must be swept, {tracked} left"
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@ pub struct ServerProcess {
     port: Port,
     network: Arc<LocalNetwork>,
     service: Arc<FileService>,
-    lease: Arc<LeaseManager>,
 }
 
 impl ServerProcess {
@@ -40,14 +39,13 @@ impl ServerProcess {
             port,
             Arc::new(FileServerHandler::with_lease_manager(
                 Arc::clone(&service),
-                Arc::clone(&lease),
+                lease,
             )),
         );
         ServerProcess {
             port,
             network,
             service,
-            lease,
         }
     }
 
@@ -71,11 +69,6 @@ impl ServerProcess {
     /// The underlying shared file service (e.g. for reporting crashed lock holders).
     pub fn service(&self) -> &Arc<FileService> {
         &self.service
-    }
-
-    /// The lease manager this process grants from (shared across its group).
-    pub fn lease_manager(&self) -> &Arc<LeaseManager> {
-        &self.lease
     }
 }
 

@@ -9,7 +9,6 @@
 //! the naming layer's analogue of the abort ratio.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use afs_core::{FileStore, RetryPolicy};
 use afs_dir::{DirCap, DirError, DirStore, EntryKind};
@@ -54,27 +53,6 @@ pub struct DirChurnResult {
     pub mutations: u64,
     /// Renames among the committed ones.
     pub renames: u64,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
-
-impl DirChurnResult {
-    /// Committed naming operations per second.
-    pub fn throughput(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.committed as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Extra attempts per committed operation — the OCC redo rate of the
-    /// naming layer.
-    pub fn retry_rate(&self) -> f64 {
-        if self.committed == 0 {
-            return self.retries as f64;
-        }
-        self.retries as f64 / self.committed as f64
-    }
 }
 
 /// Creates the run's working set — `config.dirs` directories under `root`,
@@ -117,7 +95,6 @@ pub fn run_dir_churn<S: FileStore>(store: &S, root: &DirCap, run: &DirChurnRun) 
     let failed = AtomicU64::new(0);
     let mutations = AtomicU64::new(0);
     let renames = AtomicU64::new(0);
-    let start = Instant::now();
 
     std::thread::scope(|scope| {
         for client in 0..run.clients {
@@ -192,7 +169,6 @@ pub fn run_dir_churn<S: FileStore>(store: &S, root: &DirCap, run: &DirChurnRun) 
         failed: failed.load(Ordering::Relaxed),
         mutations: mutations.load(Ordering::Relaxed),
         renames: renames.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
     }
 }
 
@@ -215,7 +191,6 @@ mod tests {
         assert_eq!(result.committed, 60);
         assert_eq!(result.failed, 0, "client-unique names never collide");
         assert!(result.mutations > 0);
-        assert!(result.throughput() > 0.0);
     }
 
     #[test]

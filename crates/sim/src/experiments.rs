@@ -1,9 +1,25 @@
-//! The per-experiment sweeps (DESIGN.md E1–E14).
+//! The per-experiment sweeps E1–E14.
 //!
 //! Every function here regenerates one of the paper's claims: it builds the systems
-//! involved, runs the workload, and returns printable rows.  The `afs-bench` crate
-//! wraps each function in a binary (`exp_e1`, `exp_e2`, …) and EXPERIMENTS.md records
-//! paper-claim vs. measured output.
+//! involved, runs the workload, and returns printable rows.  The `experiments` binary
+//! of the `afs-bench` crate runs them by id
+//! (`cargo run -p afs-bench --release --bin experiments -- e3`).
+//!
+//! | Id | Claim (paper section) |
+//! |---|---|
+//! | E1 | OCC vs locking vs timestamps across conflict levels (§3.1, §6) |
+//! | E2 | cost of the serialisability test vs overlap and file size (§5.2, §5.4) |
+//! | E3 | cache validation without unsolicited messages (§5.4) |
+//! | E4 | crash recovery work (§3.1, §6) |
+//! | E5 | commit scaling — the critical section is one test-and-set (§5.2) |
+//! | E6 | super-file updates — locking vs pure OCC (§5.3, §6) |
+//! | E7 | dual-server stable storage (§4) |
+//! | E8 | copy-on-write overhead vs tree shape (§5.1) |
+//! | E9 | one-page files pay no concurrency-control cost (§2, §6) |
+//! | E10 | the garbage collector runs in parallel (abstract) |
+//! | E11, E12 | soft locks and starvation of large updates (§5.3, §6) |
+//! | E13 | caching the flag bits (§5.4) |
+//! | E14 | write-once (optical) media (§6) |
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

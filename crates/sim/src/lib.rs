@@ -1,8 +1,9 @@
 //! Experiment harness: multi-client drivers, metrics and the per-experiment sweeps
-//! that regenerate the paper's claims (see DESIGN.md, experiments E1–E14).
+//! that regenerate the paper's claims (experiments E1–E14, catalogued in
+//! [`experiments`]).
 //!
 //! Every experiment is a plain function returning printable rows, so the same code
-//! backs the `cargo bench` targets, the `exp_*` binaries in `afs-bench`, and the
+//! backs the `cargo bench` targets, the `experiments` binary in `afs-bench`, and the
 //! smoke tests in this crate.
 
 #![forbid(unsafe_code)]

@@ -71,10 +71,9 @@
 //! ([`amoeba_rpc::block`], `afs_server::RemoteBlockStore`).  *Availability*
 //! comes from the replica set, which streams every put through per-replica
 //! FIFO workers and acknowledges once a **majority of the current membership
-//! epoch** has durably applied it ([`amoeba_block::CommitRule::Quorum`], the
-//! default — one slow or partitioned replica no longer gates commit latency;
-//! `WriteAll` remains as a compatibility toggle).  Membership is epoch-managed
-//! ([`amoeba_block::Membership`]): a failed or partitioned replica is deposed
+//! epoch** has durably applied it ([`amoeba_block::majority`] of the members,
+//! so one slow or partitioned replica never gates commit latency).  Membership
+//! is epoch-managed ([`amoeba_block::Membership`]): a failed or partitioned replica is deposed
 //! (epoch bump), its missed writes are queued as sequence-stamped intentions,
 //! and [`amoeba_block::ReplicatedBlockStore::resync`] replays them before the
 //! replica may serve reads again — the epoch rides every `WriteBlocks` RPC so
