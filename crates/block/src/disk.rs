@@ -223,7 +223,8 @@ impl BlockStore for FileStore {
         // slots and pay for a single `fsync` at the end — the scatter-gather
         // win a per-block loop cannot have.  Slots are written in entry order,
         // so a crash mid-batch leaves a prefix applied (children before
-        // parents, by the flush discipline of the caller).
+        // parents, by the flush discipline of the caller).  A free entry is
+        // allocated by its write (write-allocate), just before its slot is.
         for (nr, data) in writes {
             self.check_nr(*nr)?;
             if data.len() > self.block_size {
@@ -234,12 +235,11 @@ impl BlockStore for FileStore {
             }
         }
         let mut inner = self.inner.lock();
-        for (nr, _) in writes {
-            if !inner.allocated[*nr as usize] {
-                return Err(BlockError::NoSuchBlock(*nr));
-            }
-        }
         for (nr, data) in writes {
+            if !inner.allocated[*nr as usize] {
+                inner.allocated[*nr as usize] = true;
+                inner.stats.allocations += 1;
+            }
             self.write_slot(&mut inner, *nr, data)?;
         }
         if self.sync_writes {
@@ -359,6 +359,28 @@ mod tests {
         let s = store.stats();
         assert_eq!(s.writes, 4);
         assert_eq!(s.write_calls, 1);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn write_batch_allocates_free_slots_but_write_does_not() {
+        let (store, path) = temp_store(64, 8);
+        assert_eq!(
+            store.write(3, Bytes::from_static(b"strict")),
+            Err(BlockError::NoSuchBlock(3))
+        );
+        store
+            .write_batch(&[(3, Bytes::from_static(b"fresh")), (5, Bytes::new())])
+            .unwrap();
+        assert!(store.is_allocated(3) && store.is_allocated(5));
+        assert_eq!(store.read(3).unwrap(), Bytes::from_static(b"fresh"));
+        assert_eq!(store.stats().allocations, 2);
+        // An out-of-range entry fails the batch before anything is applied.
+        assert_eq!(
+            store.write_batch(&[(4, Bytes::new()), (9, Bytes::new())]),
+            Err(BlockError::NoSuchBlock(9))
+        );
+        assert!(!store.is_allocated(4));
         std::fs::remove_file(path).ok();
     }
 

@@ -1,6 +1,6 @@
 //! In-memory block store: the "small fast electronic disk" of §4.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -161,6 +161,7 @@ impl BlockStore for MemStore {
         // call applies all entries or none (stronger than the trait's
         // prefix-only guarantee, which in-memory atomicity makes free).
         let mut inner = self.inner.lock();
+        let mut fresh = BTreeSet::new();
         for (nr, data) in writes {
             if data.len() > self.block_size {
                 return Err(BlockError::TooLarge {
@@ -168,10 +169,20 @@ impl BlockStore for MemStore {
                     max: self.block_size,
                 });
             }
-            if !inner.blocks.contains_key(nr) {
+            if *nr > MAX_BLOCK_NR {
                 return Err(BlockError::NoSuchBlock(*nr));
             }
+            if !inner.blocks.contains_key(nr) {
+                fresh.insert(*nr);
+            }
         }
+        if let Some(cap) = self.capacity {
+            if inner.blocks.len() + fresh.len() > cap {
+                return Err(BlockError::Full);
+            }
+        }
+        // Write-allocate: the fresh entries are allocated by their write.
+        inner.stats.allocations += fresh.len() as u64;
         for (nr, data) in writes {
             inner.stats.writes += 1;
             inner.stats.bytes_written += data.len() as u64;
@@ -312,21 +323,52 @@ mod tests {
         let store = MemStore::with_block_size(8);
         let a = store.allocate().unwrap();
         store.write(a, Bytes::from_static(b"old")).unwrap();
+        // A free in-range number would be write-allocated; one past the
+        // block-number space never can be.
         let writes = vec![
             (a, Bytes::from_static(b"new")),
-            (a + 1, Bytes::from_static(b"none")),
+            (a + 1, Bytes::from_static(b"fresh")),
+            (MAX_BLOCK_NR + 1, Bytes::from_static(b"none")),
         ];
         assert_eq!(
             store.write_batch(&writes),
-            Err(BlockError::NoSuchBlock(a + 1))
+            Err(BlockError::NoSuchBlock(MAX_BLOCK_NR + 1))
         );
         assert_eq!(store.read(a).unwrap(), Bytes::from_static(b"old"));
+        assert!(!store.is_allocated(a + 1), "nothing was write-allocated");
         let oversized = vec![(a, Bytes::from(vec![0u8; 9]))];
         assert!(matches!(
             store.write_batch(&oversized),
             Err(BlockError::TooLarge { .. })
         ));
         assert_eq!(store.read(a).unwrap(), Bytes::from_static(b"old"));
+        assert_eq!(store.stats().writes, 1);
+    }
+
+    #[test]
+    fn write_batch_allocates_free_entries_but_write_does_not() {
+        let store = MemStore::with_capacity(16, 3);
+        let a = store.allocate().unwrap();
+        assert_eq!(
+            store.write(a + 5, Bytes::from_static(b"strict")),
+            Err(BlockError::NoSuchBlock(a + 5))
+        );
+        store
+            .write_batch(&[
+                (a, Bytes::from_static(b"old")),
+                (a + 5, Bytes::from_static(b"fresh")),
+            ])
+            .unwrap();
+        assert!(store.is_allocated(a + 5));
+        assert_eq!(store.read(a + 5).unwrap(), Bytes::from_static(b"fresh"));
+        assert_eq!(store.stats().allocations, 2);
+        assert_eq!(store.stats().write_calls, 1);
+        // Capacity counts write-allocations too, and a full batch is refused whole.
+        assert_eq!(
+            store.write_batch(&[(a + 6, Bytes::new()), (a + 7, Bytes::new())]),
+            Err(BlockError::Full)
+        );
+        assert!(!store.is_allocated(a + 6));
     }
 
     #[test]

@@ -37,68 +37,68 @@
 //!   entry idempotently;
 //! * **resync on recovery** — a recovering replica "compares notes": it moves
 //!   Out → Resyncing (still barred from quorums and reads), drains its worker
-//!   queue behind a barrier, replays its intentions in sequence order under
+//!   queues behind a barrier, replays its intentions in sequence order under
 //!   the drain lock, and only when the list is empty is it readmitted —
 //!   bumping the epoch, like any other membership change.  Resync is
 //!   idempotent and safe to race with live commits: writes submitted during
 //!   the drain keep landing on the intentions list and are replayed before
 //!   the flip.
 //!
-//! An allocate collision (two clients racing the same block number onto
-//! different replicas) is detected while mirroring the allocation and rolled
-//! back, exactly as in the two-server protocol.  Allocation and free remain
-//! all-member metadata operations (they are not charged by the latency model
-//! and carry no payload); only put traffic is quorum-acknowledged.
+//! **The coordinator owns the block numbers.**  A replica set has exactly one
+//! coordinator, so it is the allocator for the set: [`BlockStore::allocate`]
+//! and [`BlockStore::allocate_at`] are local next-fit decisions over a number
+//! table seeded from the replicas at construction, with no round trip.  A
+//! number reaches the disks with its first put, because every replica's
+//! `write_batch` allocates the entries it does not hold yet (write-allocate:
+//! the paper's §4 allocate-and-write, folded into the batch write).  Reads of
+//! a number nobody has written yet are answered from the table.
+//!
+//! **Frees leave the caller's thread.**  [`BlockStore::free`] returns once the
+//! free is queued on each member's *free lane*: a queue beside the put lane,
+//! drained by one worker with a helper that joins while the queue is deep.
+//! A free is applied only after every job submitted before it on the put
+//! lane, so a free never overtakes the put it undoes, and a backlog of frees
+//! never delays a commit's puts.  A failed free deposes its replica and
+//! queues an intention, exactly like a put.  A freed number is reissued only
+//! after every member has applied the free or queued it as an intention, so a
+//! late free can never destroy the number's next owner.
 //!
 //! The store implements [`BlockStore`], so a whole `FileService` — one shard of
 //! the sharded deployment — runs over a replica set by handing
 //! `BlockServer::new` an `Arc<ReplicatedBlockStore>`.
 
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::membership::{Epoch, Membership, ReplicaStatus};
 use crate::quorum::majority;
 use crate::store::{BlockStore, StoreStats};
-use crate::{BlockError, BlockNr, Result};
+use crate::{BlockError, BlockNr, Result, MAX_BLOCK_NR};
+
+/// One put batch, shared between the replica jobs and the intentions lists.
+type Writes = Arc<Vec<(BlockNr, Bytes)>>;
 
 /// One queued operation an absent replica missed.
 #[derive(Debug, Clone)]
 enum Intent {
-    /// Ensure the block is allocated and holds `data`.
-    Put { nr: BlockNr, data: Bytes },
-    /// Ensure every `(block, data)` pair of a missed `write_batch` is applied.
+    /// Ensure every `(block, data)` pair of a missed put batch is applied.
     /// Queued at batch granularity: a replica that crashed *mid*-batch may hold
     /// an arbitrary prefix of the entries, so resync replays the whole batch
     /// (puts are idempotent) rather than trying to guess where it was cut off.
-    PutMany { writes: Vec<(BlockNr, Bytes)> },
-    /// Ensure the block is allocated (contents unchanged / empty).
-    Allocate { nr: BlockNr },
+    Puts(Writes),
     /// Ensure the block is freed.
-    Free { nr: BlockNr },
+    Free(BlockNr),
 }
 
 impl Intent {
-    fn for_writes(writes: &[(BlockNr, Bytes)]) -> Intent {
-        if writes.len() == 1 {
-            Intent::Put {
-                nr: writes[0].0,
-                data: writes[0].1.clone(),
-            }
-        } else {
-            Intent::PutMany {
-                writes: writes.to_vec(),
-            }
-        }
-    }
-
     fn ops(&self) -> u64 {
         match self {
-            Intent::PutMany { writes } => writes.len() as u64,
-            _ => 1,
+            Intent::Puts(writes) => writes.len() as u64,
+            Intent::Free(_) => 1,
         }
     }
 }
@@ -127,6 +127,35 @@ struct Replica {
     /// replica (the satellite "idempotent-and-safe" rule: a second resync
     /// waits, then finds the replica In and returns 0).
     resync_lock: Mutex<()>,
+    /// Jobs the put lane has finished; a free waits here for the put-lane
+    /// jobs submitted before it.
+    puts_done: Progress,
+    /// Frees the free lane has finished; a free-lane fence waits here for
+    /// the frees submitted before it.
+    frees_done: Progress,
+}
+
+/// How many jobs of one lane have finished, for waiters that need every job
+/// up to a mark done.
+#[derive(Default)]
+struct Progress {
+    done: Mutex<u64>,
+    advanced: Condvar,
+}
+
+impl Progress {
+    fn advance(&self) {
+        *self.done.lock() += 1;
+        self.advanced.notify_all();
+    }
+
+    /// Returns once at least `mark` jobs have finished.
+    fn wait_for(&self, mark: u64) {
+        let mut done = self.done.lock();
+        while *done < mark {
+            self.advanced.wait(&mut done);
+        }
+    }
 }
 
 /// Counters describing degraded-mode and fail-over activity of a replica set.
@@ -150,25 +179,17 @@ pub struct ReplicaSetStats {
     pub read_repairs: u64,
 }
 
-/// The work stream of one replica: every mutation the coordinator submits
-/// flows through here in global submission order, so per-replica apply order
-/// equals submission order even when the coordinator acks at quorum and moves
-/// on.
+/// A job on a replica's put lane: every put the coordinator submits flows
+/// through here in global submission order, so per-replica apply order equals
+/// submission order even when the coordinator acks at quorum and moves on.
 enum Job {
     /// Apply a put batch (or queue it as an intention when the replica is not
     /// In), reporting the outcome to the coordinator.
     Put {
         seq: u64,
         epoch: Epoch,
-        writes: Arc<Vec<(BlockNr, Bytes)>>,
+        writes: Writes,
         done: mpsc::Sender<PutOutcome>,
-    },
-    /// Free a block (or queue the free), reporting the outcome.
-    Free {
-        seq: u64,
-        epoch: Epoch,
-        nr: BlockNr,
-        done: mpsc::Sender<FreeOutcome>,
     },
     /// Serve a read from this replica's disk.  Routed through the worker so a
     /// read submitted after an acknowledged write always sees it (the read
@@ -185,6 +206,21 @@ enum Job {
     Barrier { done: mpsc::Sender<()> },
 }
 
+/// A job on a replica's free lane.
+enum FreeJob {
+    /// Free a block (or queue the free) once the put lane has finished its
+    /// first `after` jobs, then release the number.
+    Free {
+        seq: u64,
+        epoch: Epoch,
+        nr: BlockNr,
+        after: u64,
+    },
+    /// Fence: replies once the free lane has finished its first `after`
+    /// frees, i.e. every free submitted before the fence.
+    Barrier { after: u64, done: mpsc::Sender<()> },
+}
+
 enum PutOutcome {
     /// The replica durably holds the whole batch.
     Wrote,
@@ -197,20 +233,58 @@ enum PutOutcome {
     Failed(BlockError),
 }
 
-enum FreeOutcome {
-    Freed,
-    /// The replica never saw the allocation (healed corruption, partial
-    /// collision rollback): nothing to free, not a failure.
-    NothingToFree,
-    Queued,
-    Died,
-    Failed(BlockError),
+/// The coordinator's table of the set's block numbers.
+#[derive(Debug, Default)]
+struct Numbers {
+    /// Every number handed out and not freed.
+    allocated: BTreeSet<BlockNr>,
+    /// The allocated numbers no put has been submitted for: no replica holds
+    /// them, so reading one returns empty contents and freeing one is local.
+    unwritten: HashSet<BlockNr>,
+    /// Freed numbers whose free is still on its way to some member, with the
+    /// count of members yet to apply or queue it.  Not reissued until zero.
+    releasing: HashMap<BlockNr, usize>,
+    /// The next-fit cursor.
+    next: BlockNr,
+}
+
+impl Numbers {
+    fn seeded(blocks: impl IntoIterator<Item = BlockNr>) -> Numbers {
+        let allocated: BTreeSet<BlockNr> = blocks.into_iter().collect();
+        let next = match allocated.last() {
+            Some(&last) if last < MAX_BLOCK_NR => last + 1,
+            _ => 0,
+        };
+        Numbers {
+            allocated,
+            next,
+            ..Numbers::default()
+        }
+    }
+
+    /// Next-fit, like `MemStore`: the first number at or after the cursor
+    /// that is neither allocated nor still being released, wrapping once.
+    fn next_free(&mut self) -> Result<BlockNr> {
+        let start = self.next;
+        let mut nr = start;
+        while self.allocated.contains(&nr) || self.releasing.contains_key(&nr) {
+            nr = if nr == MAX_BLOCK_NR { 0 } else { nr + 1 };
+            if nr == start {
+                return Err(BlockError::Full);
+            }
+        }
+        self.next = if nr == MAX_BLOCK_NR { 0 } else { nr + 1 };
+        Ok(nr)
+    }
 }
 
 /// Counters and state shared between the coordinator and the replica workers.
 struct Shared {
     membership: Membership,
     replicas: Vec<Replica>,
+    numbers: Mutex<Numbers>,
+    /// Signalled whenever a number leaves `Numbers::releasing`.
+    released: Condvar,
     next_seq: AtomicU64,
     degraded_writes: AtomicU64,
     intentions_recorded: AtomicU64,
@@ -265,59 +339,58 @@ impl Shared {
         }
     }
 
-    /// The **resync** put: repairs a missing allocation (a recovering disk may
-    /// have lost it) before writing.  Not used on the live fan-out path —
-    /// there the replicated `allocate` has already landed the allocation on
-    /// every live replica, and the extra `is_allocated` probe would cost one
-    /// RPC per block per replica over remote disks, re-paying exactly the
-    /// round trips the batch eliminates.
-    fn apply_put(store: &Arc<dyn BlockStore>, nr: BlockNr, data: Bytes) -> Result<()> {
-        if !store.is_allocated(nr) {
-            store.allocate_at(nr)?;
+    /// Frees a block on one replica's disk; a block the disk never held
+    /// (its put was healed away, or never landed) is already free.
+    fn apply_free(store: &Arc<dyn BlockStore>, nr: BlockNr) -> Result<()> {
+        match store.free(nr) {
+            Err(BlockError::NoSuchBlock(_)) => Ok(()),
+            other => other,
         }
-        store.write(nr, data)
-    }
-
-    /// The **resync** batch put: repairs missing allocations, then ships the
-    /// batch as one `write_batch` call.  See [`Self::apply_put`] for why the
-    /// live fan-out does not use this.
-    fn apply_puts(store: &Arc<dyn BlockStore>, writes: &[(BlockNr, Bytes)]) -> Result<()> {
-        for (nr, _) in writes {
-            if !store.is_allocated(*nr) {
-                store.allocate_at(*nr)?;
-            }
-        }
-        store.write_batch(writes)
     }
 
     fn apply_intent(&self, idx: usize, intent: &Intent) -> Result<()> {
         let store = &self.replicas[idx].store;
         match intent {
-            Intent::Put { nr, data } => Self::apply_put(store, *nr, data.clone()),
-            Intent::PutMany { writes } => Self::apply_puts(store, writes),
-            Intent::Allocate { nr } => {
-                if store.is_allocated(*nr) {
-                    Ok(())
-                } else {
-                    store.allocate_at(*nr)
-                }
-            }
-            Intent::Free { nr } => {
-                if store.is_allocated(*nr) {
-                    store.free(*nr)
-                } else {
-                    Ok(())
-                }
+            // One call; `write_batch` allocates every entry the replica does
+            // not hold yet, so no per-block `is_allocated` probe (one RPC per
+            // block over a remote disk) is needed first.
+            Intent::Puts(writes) => store.write_batch(writes),
+            Intent::Free(nr) => Self::apply_free(store, *nr),
+        }
+    }
+
+    /// One member has applied or queued the free of `nr`; the last one
+    /// makes the number reissuable.
+    fn release(&self, nr: BlockNr) {
+        let mut numbers = self.numbers.lock();
+        if let Some(left) = numbers.releasing.get_mut(&nr) {
+            *left -= 1;
+            if *left == 0 {
+                numbers.releasing.remove(&nr);
+                self.released.notify_all();
             }
         }
     }
+
+    /// Locks the number table once none of `nrs` is still being released.
+    fn settled_numbers(
+        &self,
+        nrs: impl Iterator<Item = BlockNr> + Clone,
+    ) -> MutexGuard<'_, Numbers> {
+        let mut numbers = self.numbers.lock();
+        while nrs.clone().any(|nr| numbers.releasing.contains_key(&nr)) {
+            self.released.wait(&mut numbers);
+        }
+        numbers
+    }
 }
 
-/// The per-replica worker: drains the replica's job stream in FIFO order.
-/// The worker is the only code that applies put traffic to its disk, which is
-/// what keeps "version page strictly last" true per replica even though the
-/// coordinator acks at quorum and stops waiting.
-fn worker_loop(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
+/// The put-lane worker: drains the replica's job stream in FIFO order.  It is
+/// the only code that applies put traffic to its disk, which is what keeps
+/// "version page strictly last" true per replica even though the coordinator
+/// acks at quorum and stops waiting.
+fn put_lane(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
+    let replica = &shared.replicas[idx];
     while let Ok(job) = jobs.recv() {
         match job {
             Job::Put {
@@ -326,60 +399,31 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
                 writes,
                 done,
             } => {
-                if shared.membership.status(idx) != ReplicaStatus::In {
+                let outcome = if shared.membership.status(idx) != ReplicaStatus::In {
                     // Deposed between submission and processing: the stream
                     // position is preserved by queueing under the job's seq.
-                    shared.queue_intention(idx, seq, epoch, Intent::for_writes(&writes));
-                    let _ = done.send(PutOutcome::Queued);
-                    continue;
-                }
-                match shared.replicas[idx].store.write_batch(&writes) {
-                    Ok(()) => {
-                        let _ = done.send(PutOutcome::Wrote);
+                    shared.queue_intention(idx, seq, epoch, Intent::Puts(writes));
+                    PutOutcome::Queued
+                } else {
+                    match replica.store.write_batch(&writes) {
+                        Ok(()) => PutOutcome::Wrote,
+                        Err(e) => {
+                            shared.depose(idx, true);
+                            shared.queue_intention(idx, seq, epoch, Intent::Puts(writes));
+                            match e {
+                                BlockError::Crashed => PutOutcome::Died,
+                                other => PutOutcome::Failed(other),
+                            }
+                        }
                     }
-                    Err(e) => {
-                        shared.depose(idx, true);
-                        shared.queue_intention(idx, seq, epoch, Intent::for_writes(&writes));
-                        let _ = done.send(match e {
-                            BlockError::Crashed => PutOutcome::Died,
-                            other => PutOutcome::Failed(other),
-                        });
-                    }
-                }
-            }
-            Job::Free {
-                seq,
-                epoch,
-                nr,
-                done,
-            } => {
-                if shared.membership.status(idx) != ReplicaStatus::In {
-                    shared.queue_intention(idx, seq, epoch, Intent::Free { nr });
-                    let _ = done.send(FreeOutcome::Queued);
-                    continue;
-                }
-                match shared.replicas[idx].store.free(nr) {
-                    Ok(()) => {
-                        let _ = done.send(FreeOutcome::Freed);
-                    }
-                    Err(BlockError::NoSuchBlock(_)) => {
-                        let _ = done.send(FreeOutcome::NothingToFree);
-                    }
-                    Err(BlockError::Crashed) => {
-                        shared.depose(idx, true);
-                        shared.queue_intention(idx, seq, epoch, Intent::Free { nr });
-                        let _ = done.send(FreeOutcome::Died);
-                    }
-                    Err(e) => {
-                        let _ = done.send(FreeOutcome::Failed(e));
-                    }
-                }
+                };
+                let _ = done.send(outcome);
             }
             Job::Read { nr, done } => {
                 let result = if shared.membership.status(idx) != ReplicaStatus::In {
                     Err(BlockError::Crashed)
                 } else {
-                    match shared.replicas[idx].store.read(nr) {
+                    match replica.store.read(nr) {
                         Err(BlockError::Crashed) => {
                             // The disk below crashed without going through
                             // crash(): depose it so writes queue intentions.
@@ -397,10 +441,10 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
                 // behind this job's submission and must not be clobbered.
                 if shared.membership.status(idx) == ReplicaStatus::In
                     && matches!(
-                        shared.replicas[idx].store.read(nr),
+                        replica.store.read(nr),
                         Err(BlockError::NoSuchBlock(_)) | Err(BlockError::Corrupted(_))
                     )
-                    && Shared::apply_put(&shared.replicas[idx].store, nr, data).is_ok()
+                    && replica.store.write_batch(&[(nr, data)]).is_ok()
                 {
                     shared.read_repairs.fetch_add(1, Ordering::Relaxed);
                 }
@@ -409,13 +453,176 @@ fn worker_loop(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
                 let _ = done.send(());
             }
         }
+        replica.puts_done.advance();
     }
 }
 
-/// The submission side of the worker streams.  Sends happen under this lock,
-/// so channel order equals sequence order on every replica.
+/// Queue depth at which a free lane's helper joins its worker.  One worker,
+/// one free in flight, keeps up with most traffic and spreads a burst of
+/// frees thinly between the commits' own RPCs.  It drains slower than a
+/// stream of 32-page commits queues frees, though, and an unbounded backlog
+/// then swings between empty and tens of thousands over tens of seconds,
+/// with commit throughput swinging against it.  The helper caps the backlog
+/// near this depth, a few hundred milliseconds of frees.
+const HELPER_DEPTH: usize = 2048;
+
+/// A replica's free lane: frees and fences in submission order, drained by
+/// one worker, with a helper that takes jobs only while at least
+/// [`HELPER_DEPTH`] are queued.
+#[derive(Default)]
+struct FreeLane {
+    state: Mutex<FreeLaneState>,
+    /// Signalled when a job is queued or the lane closes.
+    queued: Condvar,
+    /// Signalled when the queue reaches the helper's depth or the lane closes.
+    deep: Condvar,
+}
+
+#[derive(Default)]
+struct FreeLaneState {
+    jobs: VecDeque<FreeJob>,
+    closed: bool,
+}
+
+impl FreeLane {
+    fn push(&self, job: FreeJob) {
+        let mut state = self.state.lock();
+        state.jobs.push_back(job);
+        let depth = state.jobs.len();
+        drop(state);
+        self.queued.notify_one();
+        if depth == HELPER_DEPTH {
+            self.deep.notify_one();
+        }
+    }
+
+    /// Wakes both workers to drain what is queued and exit.
+    fn close(&self) {
+        self.state.lock().closed = true;
+        self.queued.notify_all();
+        self.deep.notify_all();
+    }
+
+    /// The worker's next job; `None` once the lane is closed and drained.
+    fn next(&self) -> Option<FreeJob> {
+        let mut state = self.state.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            self.queued.wait(&mut state);
+        }
+    }
+
+    /// The helper's next job, once the queue is deep; `None` once the lane
+    /// is closed (the worker drains the rest).
+    fn next_if_deep(&self) -> Option<FreeJob> {
+        let mut state = self.state.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if state.jobs.len() >= HELPER_DEPTH {
+                return state.jobs.pop_front();
+            }
+            self.deep.wait(&mut state);
+        }
+    }
+}
+
+/// A free-lane worker (or, with `helper`, the lane's helper): applies each
+/// free after the put-lane jobs submitted before it, so it can never
+/// overtake a still-queued put of the same block on a straggler (which would
+/// resurrect the block).  Frees of distinct numbers commute, so only fences
+/// care which of the two finishes first.
+fn free_lane(shared: Arc<Shared>, idx: usize, lane: Arc<FreeLane>, helper: bool) {
+    let replica = &shared.replicas[idx];
+    loop {
+        let next = if helper {
+            lane.next_if_deep()
+        } else {
+            lane.next()
+        };
+        let Some(job) = next else { break };
+        match job {
+            FreeJob::Free {
+                seq,
+                epoch,
+                nr,
+                after,
+            } => {
+                replica.puts_done.wait_for(after);
+                let applied = shared.membership.status(idx) == ReplicaStatus::In
+                    && match Shared::apply_free(&replica.store, nr) {
+                        Ok(()) => true,
+                        Err(_) => {
+                            shared.depose(idx, true);
+                            false
+                        }
+                    };
+                if !applied {
+                    shared.queue_intention(idx, seq, epoch, Intent::Free(nr));
+                }
+                shared.release(nr);
+                replica.frees_done.advance();
+            }
+            FreeJob::Barrier { after, done } => {
+                // The other thread may still be applying an earlier free.
+                replica.frees_done.wait_for(after);
+                let _ = done.send(());
+            }
+        }
+    }
+}
+
+fn spawn_worker(name: String, body: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn replica worker")
+}
+
+/// The submission side of the worker lanes.  Sends happen under this lock,
+/// so lane order equals sequence order on every replica.
 struct SubmitState {
-    senders: Vec<mpsc::Sender<Job>>,
+    puts: Vec<mpsc::Sender<Job>>,
+    frees: Vec<Arc<FreeLane>>,
+    /// Jobs sent down each put lane so far: the `after` mark of a free.
+    put_jobs_sent: Vec<u64>,
+    /// Frees sent down each free lane so far: the `after` mark of a fence.
+    frees_sent: Vec<u64>,
+}
+
+impl SubmitState {
+    fn put(&mut self, idx: usize, job: Job) {
+        self.put_jobs_sent[idx] += 1;
+        let _ = self.puts[idx].send(job);
+    }
+
+    /// Queues the free of `nr` on replica `idx`'s free lane, behind every
+    /// put-lane job sent so far.
+    fn free(&mut self, idx: usize, seq: u64, epoch: Epoch, nr: BlockNr) {
+        self.frees_sent[idx] += 1;
+        let after = self.put_jobs_sent[idx];
+        self.frees[idx].push(FreeJob::Free {
+            seq,
+            epoch,
+            nr,
+            after,
+        });
+    }
+
+    /// Sends a barrier down both lanes of replica `idx`.
+    fn fence(&mut self, idx: usize, done: &mpsc::Sender<()>) {
+        self.put(idx, Job::Barrier { done: done.clone() });
+        self.frees[idx].push(FreeJob::Barrier {
+            after: self.frees_sent[idx],
+            done: done.clone(),
+        });
+    }
 }
 
 /// A set of N replica disks behind one [`BlockStore`] interface, with
@@ -429,10 +636,12 @@ pub struct ReplicatedBlockStore {
 
 impl ReplicatedBlockStore {
     /// Creates a replica set over the given disks.  At least one replica is
-    /// required; two or more are needed for any fault tolerance.
+    /// required; two or more are needed for any fault tolerance.  The number
+    /// table starts as the union of what the disks already hold.
     pub fn new(stores: Vec<Arc<dyn BlockStore>>) -> Arc<Self> {
         assert!(!stores.is_empty(), "a replica set needs at least one disk");
         let n = stores.len();
+        let numbers = Numbers::seeded(stores.iter().flat_map(|s| s.allocated_blocks()));
         let shared = Arc::new(Shared {
             membership: Membership::new(n),
             replicas: stores
@@ -441,8 +650,12 @@ impl ReplicatedBlockStore {
                     store,
                     state: Mutex::new(ReplicaState::default()),
                     resync_lock: Mutex::new(()),
+                    puts_done: Progress::default(),
+                    frees_done: Progress::default(),
                 })
                 .collect(),
+            numbers: Mutex::new(numbers),
+            released: Condvar::new(),
             next_seq: AtomicU64::new(1),
             degraded_writes: AtomicU64::new(0),
             intentions_recorded: AtomicU64::new(0),
@@ -452,22 +665,33 @@ impl ReplicatedBlockStore {
             quorum_short_acks: AtomicU64::new(0),
             read_repairs: AtomicU64::new(0),
         });
-        let mut senders = Vec::with_capacity(n);
-        let mut workers = Vec::with_capacity(n);
+        let mut submit = SubmitState {
+            puts: Vec::with_capacity(n),
+            frees: Vec::with_capacity(n),
+            put_jobs_sent: vec![0; n],
+            frees_sent: vec![0; n],
+        };
+        let mut workers = Vec::with_capacity(3 * n);
         for idx in 0..n {
             let (tx, rx) = mpsc::channel();
-            let worker_shared = Arc::clone(&shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("replica-worker-{idx}"))
-                    .spawn(move || worker_loop(worker_shared, idx, rx))
-                    .expect("spawn replica worker"),
-            );
-            senders.push(tx);
+            let lane_shared = Arc::clone(&shared);
+            workers.push(spawn_worker(format!("replica-puts-{idx}"), move || {
+                put_lane(lane_shared, idx, rx)
+            }));
+            submit.puts.push(tx);
+            let lane = Arc::new(FreeLane::default());
+            for helper in [false, true] {
+                let lane_shared = Arc::clone(&shared);
+                let lane = Arc::clone(&lane);
+                workers.push(spawn_worker(format!("replica-frees-{idx}"), move || {
+                    free_lane(lane_shared, idx, lane, helper)
+                }));
+            }
+            submit.frees.push(lane);
         }
         Arc::new(ReplicatedBlockStore {
             shared,
-            submit: Mutex::new(SubmitState { senders }),
+            submit: Mutex::new(submit),
             workers: Mutex::new(workers),
         })
     }
@@ -547,17 +771,27 @@ impl ReplicatedBlockStore {
         self.shared.membership.status(idx) != ReplicaStatus::In
     }
 
-    /// Waits until every replica worker has drained all jobs submitted so far
-    /// — including background stragglers of quorum-acknowledged writes.  Test
-    /// and audit fencing; never needed for correctness of the write path.
+    /// Waits until both lanes of every replica have drained all jobs
+    /// submitted so far — including background stragglers of
+    /// quorum-acknowledged writes and queued frees.  Test and audit fencing;
+    /// never needed for correctness of the write path.
     pub fn quiesce(&self) {
+        self.fence(0..self.shared.replicas.len());
+    }
+
+    /// Fences both lanes of a single replica.
+    fn barrier_one(&self, idx: usize) {
+        self.fence(idx..idx + 1);
+    }
+
+    fn fence(&self, replicas: std::ops::Range<usize>) {
         let (tx, rx) = mpsc::channel();
         let count = {
-            let submit = self.submit.lock();
-            for sender in &submit.senders {
-                let _ = sender.send(Job::Barrier { done: tx.clone() });
+            let mut submit = self.submit.lock();
+            for idx in replicas.clone() {
+                submit.fence(idx, &tx);
             }
-            submit.senders.len()
+            2 * replicas.len()
         };
         drop(tx);
         for _ in 0..count {
@@ -567,18 +801,8 @@ impl ReplicatedBlockStore {
         }
     }
 
-    /// Fences a single replica's worker stream.
-    fn barrier_one(&self, idx: usize) {
-        let (tx, rx) = mpsc::channel();
-        {
-            let submit = self.submit.lock();
-            let _ = submit.senders[idx].send(Job::Barrier { done: tx });
-        }
-        let _ = rx.recv();
-    }
-
     /// Recovers replica `idx`: moves it Out → Resyncing (still barred from
-    /// quorums and reads), fences its worker stream, replays its epoch-stamped
+    /// quorums and reads), fences its worker lanes, replays its epoch-stamped
     /// intentions in submission order, and readmits it under a new epoch once
     /// the list drains empty.  Returns the number of operations applied.
     ///
@@ -609,7 +833,7 @@ impl ReplicatedBlockStore {
                 ReplicaStatus::Resyncing => {}
             }
         }
-        // Fence the worker: any job still in flight from when the replica was
+        // Fence both lanes: any job still in flight from when the replica was
         // In lands on the intentions list (in sequence order) before we drain.
         self.barrier_one(idx);
         let mut applied = 0usize;
@@ -656,11 +880,13 @@ impl ReplicatedBlockStore {
         Ok(applied)
     }
 
-    /// The shared write path of [`BlockStore::write`] and
-    /// [`BlockStore::write_batch`]: submit the put batch to every member of
-    /// the current epoch's replica set (queueing an epoch-stamped intention
-    /// for every absent replica), then wait for outcomes until a strict
-    /// majority of the *current* membership has applied it.
+    /// The shared write path of [`BlockStore::write`] (`allocate == false`:
+    /// every entry must already be allocated) and [`BlockStore::write_batch`]
+    /// (`allocate == true`: an entry naming a free number allocates it).
+    /// Submits the put batch to every member of the current epoch's replica
+    /// set (queueing an epoch-stamped intention for every absent replica),
+    /// then waits for outcomes until a strict majority of the *current*
+    /// membership has applied it.
     ///
     /// Stragglers keep applying in the background in stream order, and a
     /// straggler that fails is deposed by its worker with the batch queued.
@@ -669,12 +895,13 @@ impl ReplicatedBlockStore {
     /// an epoch bump) instead of wedging the ack.
     ///
     /// Nothing stays queued unless some part of the batch may exist on some
-    /// disk — a batch that exists nowhere must never be replayed by resync.
-    /// A batch rejected by a live disk fails the call even if others applied
-    /// it (the rejection is evidence of a real fault, and the promise that an
-    /// error means "not every live replica holds this" is worth keeping), with
-    /// the rejecting replica deposed and converged forward via resync.
-    fn fan_out_puts(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
+    /// disk — a batch that exists nowhere must never be replayed by resync,
+    /// and the numbers it write-allocated go back to the table.  A batch
+    /// rejected by a live disk fails the call even if others applied it (the
+    /// rejection is evidence of a real fault, and the promise that an error
+    /// means "not every live replica holds this" is worth keeping), with the
+    /// rejecting replica deposed and converged forward via resync.
+    fn fan_out_puts(&self, writes: &[(BlockNr, Bytes)], allocate: bool) -> Result<()> {
         if writes.is_empty() {
             return Ok(());
         }
@@ -690,36 +917,71 @@ impl ReplicatedBlockStore {
                 });
             }
         }
+        let nrs = writes.iter().map(|(nr, _)| *nr);
+        if allocate {
+            // A number whose free is still in flight is not ours to reuse yet.
+            drop(self.shared.settled_numbers(nrs.clone()));
+        }
 
-        let payload = Arc::new(writes.to_vec());
+        let payload: Writes = Arc::new(writes.to_vec());
         let (tx, rx) = mpsc::channel();
-        let (members, seq, mut degraded) = {
-            let submit = self.submit.lock();
+        let (members, seq, mut degraded, fresh, first_puts) = {
+            let mut submit = self.submit.lock();
             let view = self.shared.membership.lock();
             let members = view.members();
             if members.is_empty() {
                 // The whole set is absent: refuse with nothing queued.
                 return Err(BlockError::Crashed);
             }
+            let mut numbers = self.shared.numbers.lock();
+            for nr in nrs.clone() {
+                if !numbers.allocated.contains(&nr) {
+                    if !allocate || nr > MAX_BLOCK_NR {
+                        return Err(BlockError::NoSuchBlock(nr));
+                    }
+                    if numbers.releasing.contains_key(&nr) {
+                        // Freed and released again since the wait: another
+                        // caller is racing us for the number.
+                        return Err(BlockError::AlreadyAllocated(nr));
+                    }
+                }
+            }
+            let mut fresh = Vec::new();
+            let mut first_puts = Vec::new();
+            for nr in nrs {
+                if numbers.allocated.insert(nr) {
+                    fresh.push(nr);
+                } else if numbers.unwritten.remove(&nr) {
+                    first_puts.push(nr);
+                }
+            }
+            drop(numbers);
             let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
             let epoch = view.epoch();
             let mut degraded = false;
             for idx in 0..view.len() {
                 if view.status(idx) != ReplicaStatus::In {
-                    self.shared
-                        .queue_intention(idx, seq, epoch, Intent::for_writes(&payload));
+                    self.shared.queue_intention(
+                        idx,
+                        seq,
+                        epoch,
+                        Intent::Puts(Arc::clone(&payload)),
+                    );
                     degraded = true;
                 }
             }
             for &idx in &members {
-                let _ = submit.senders[idx].send(Job::Put {
-                    seq,
-                    epoch,
-                    writes: Arc::clone(&payload),
-                    done: tx.clone(),
-                });
+                submit.put(
+                    idx,
+                    Job::Put {
+                        seq,
+                        epoch,
+                        writes: Arc::clone(&payload),
+                        done: tx.clone(),
+                    },
+                );
             }
-            (members, seq, degraded)
+            (members, seq, degraded, fresh, first_puts)
         };
         drop(tx);
 
@@ -782,8 +1044,17 @@ impl ReplicatedBlockStore {
             // No replica holds any of the batch (absent replicas never
             // attempted it, rejecting disks applied nothing): report the
             // failure with nothing queued, so a batch that exists nowhere can
-            // never resurface at resync.
+            // never resurface at resync, and hand its numbers back.
             self.shared.retract_seq(seq);
+            let mut numbers = self.shared.numbers.lock();
+            for nr in fresh {
+                numbers.allocated.remove(&nr);
+            }
+            for nr in first_puts {
+                if numbers.allocated.contains(&nr) {
+                    numbers.unwritten.insert(nr);
+                }
+            }
             return Err(first_error.unwrap_or(BlockError::Crashed));
         }
         // Some replica holds the batch — or a mid-crash prefix of it — and
@@ -800,9 +1071,9 @@ impl ReplicatedBlockStore {
     /// Compares all replicas block by block and returns the numbers where any
     /// two replicas disagree on allocation or contents.  Empty means the set
     /// is in agreement (the §4 invariant the divergence tests assert after
-    /// crash/partition + resync).  Quiesces the worker streams first, so
-    /// background stragglers of quorum-acknowledged writes are not reported
-    /// as divergence.
+    /// crash/partition + resync).  Quiesces the worker lanes first, so
+    /// background stragglers of quorum-acknowledged writes and queued frees
+    /// are not reported as divergence.
     pub fn divergent_blocks(&self) -> Vec<BlockNr> {
         self.quiesce();
         let mut blocks: Vec<BlockNr> = self
@@ -837,8 +1108,12 @@ impl ReplicatedBlockStore {
 
 impl Drop for ReplicatedBlockStore {
     fn drop(&mut self) {
-        // Close the job streams, then wait for the workers to drain and exit.
-        self.submit.get_mut().senders.clear();
+        // Close the lanes, then wait for the workers to drain and exit.
+        let submit = self.submit.get_mut();
+        submit.puts.clear();
+        for lane in submit.frees.drain(..) {
+            lane.close();
+        }
         for handle in self.workers.get_mut().drain(..) {
             let _ = handle.join();
         }
@@ -851,164 +1126,80 @@ impl BlockStore for ReplicatedBlockStore {
     }
 
     fn allocate(&self) -> Result<BlockNr> {
-        // Choose an In leader to pick the block number, failing over past
-        // disks that turn out to be crashed below the replica layer (otherwise
-        // a dead leader would brick allocation for the whole set while healthy
-        // replicas exist).
-        let shared = &self.shared;
-        let mut chosen = None;
-        for idx in 0..shared.replicas.len() {
-            if shared.membership.status(idx) != ReplicaStatus::In {
-                continue;
-            }
-            match shared.replicas[idx].store.allocate() {
-                Ok(nr) => {
-                    chosen = Some((idx, nr));
-                    break;
-                }
-                Err(BlockError::Crashed) => shared.depose(idx, true),
-                Err(e) => return Err(e),
-            }
-        }
-        let Some((leader, nr)) = chosen else {
+        // The number is the coordinator's to choose: no disk hears of it
+        // until its first put.  A set with no live member takes no new work.
+        if self.shared.membership.in_count() == 0 {
             return Err(BlockError::Crashed);
-        };
-        let seq = shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = shared.membership.epoch();
-        let mut mirrored = vec![leader];
-        for idx in 0..shared.replicas.len() {
-            if idx == leader {
-                continue;
-            }
-            if shared.membership.status(idx) != ReplicaStatus::In {
-                shared.queue_intention(idx, seq, epoch, Intent::Allocate { nr });
-                continue;
-            }
-            match shared.replicas[idx].store.allocate_at(nr) {
-                Ok(()) => mirrored.push(idx),
-                Err(BlockError::Crashed) => {
-                    shared.depose(idx, true);
-                    shared.queue_intention(idx, seq, epoch, Intent::Allocate { nr });
-                }
-                Err(e) => {
-                    // Allocate collision (or disk failure): roll every mirror
-                    // back — including intentions already queued for absent
-                    // replicas, which would otherwise replay a rolled-back
-                    // allocation at resync — and let the client retry.
-                    for &done in &mirrored {
-                        let _ = shared.replicas[done].store.free(nr);
-                    }
-                    shared.retract_seq(seq);
-                    return Err(e);
-                }
-            }
         }
+        let mut numbers = self.shared.numbers.lock();
+        let nr = numbers.next_free()?;
+        numbers.allocated.insert(nr);
+        numbers.unwritten.insert(nr);
         Ok(nr)
     }
 
     fn allocate_at(&self, nr: BlockNr) -> Result<()> {
-        let shared = &self.shared;
-        if shared.membership.in_count() == 0 {
+        if nr > MAX_BLOCK_NR {
+            return Err(BlockError::NoSuchBlock(nr));
+        }
+        if self.shared.membership.in_count() == 0 {
             return Err(BlockError::Crashed);
         }
-        let seq = shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        let epoch = shared.membership.epoch();
-        let mut mirrored: Vec<usize> = Vec::new();
-        for idx in 0..shared.replicas.len() {
-            if shared.membership.status(idx) != ReplicaStatus::In {
-                shared.queue_intention(idx, seq, epoch, Intent::Allocate { nr });
-                continue;
-            }
-            match shared.replicas[idx].store.allocate_at(nr) {
-                Ok(()) => mirrored.push(idx),
-                Err(BlockError::Crashed) => {
-                    shared.depose(idx, true);
-                    shared.queue_intention(idx, seq, epoch, Intent::Allocate { nr });
-                }
-                Err(e) => {
-                    for &done in &mirrored {
-                        let _ = shared.replicas[done].store.free(nr);
-                    }
-                    shared.retract_seq(seq);
-                    return Err(e);
-                }
-            }
+        let mut numbers = self.shared.settled_numbers(std::iter::once(nr));
+        if !numbers.allocated.insert(nr) {
+            return Err(BlockError::AlreadyAllocated(nr));
         }
-        if mirrored.is_empty() {
-            // No live replica applied the allocation: report the failure and
-            // retract the queued intentions, which describe an allocation that
-            // never happened anywhere.
-            shared.retract_seq(seq);
-            return Err(BlockError::Crashed);
-        }
+        numbers.unwritten.insert(nr);
         Ok(())
     }
 
     fn free(&self, nr: BlockNr) -> Result<()> {
-        // Frees flow through the worker streams like puts, so a free never
-        // overtakes a still-queued write to the same block on a straggler
-        // (which would strand a stale re-allocation at resync).  All member
-        // outcomes are awaited: frees are uncharged metadata, and collision
-        // rollback wants a definite answer.
-        let (tx, rx) = mpsc::channel();
-        let (members, seq) = {
-            let submit = self.submit.lock();
-            let view = self.shared.membership.lock();
-            let members = view.members();
+        // Taken under the submit lock, so the free's place on each free lane
+        // is fixed after every put already submitted for the block.
+        let mut submit = self.submit.lock();
+        let view = self.shared.membership.lock();
+        let members = view.members();
+        {
+            let mut numbers = self.shared.numbers.lock();
+            if !numbers.allocated.contains(&nr) {
+                return Err(BlockError::NoSuchBlock(nr));
+            }
+            if numbers.unwritten.remove(&nr) {
+                // No replica ever heard of it.
+                numbers.allocated.remove(&nr);
+                return Ok(());
+            }
             if members.is_empty() {
                 return Err(BlockError::Crashed);
             }
-            let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-            let epoch = view.epoch();
-            for idx in 0..view.len() {
-                if view.status(idx) != ReplicaStatus::In {
-                    self.shared
-                        .queue_intention(idx, seq, epoch, Intent::Free { nr });
-                }
-            }
-            for &idx in &members {
-                let _ = submit.senders[idx].send(Job::Free {
-                    seq,
-                    epoch,
-                    nr,
-                    done: tx.clone(),
-                });
-            }
-            (members, seq)
-        };
-        drop(tx);
-        let mut freed_any = false;
-        let mut first_error: Option<BlockError> = None;
-        for _ in 0..members.len() {
-            match rx.recv() {
-                Ok(FreeOutcome::Freed) => freed_any = true,
-                Ok(FreeOutcome::NothingToFree | FreeOutcome::Queued | FreeOutcome::Died) => {}
-                Ok(FreeOutcome::Failed(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => break,
+            numbers.allocated.remove(&nr);
+            numbers.releasing.insert(nr, members.len());
+        }
+        let seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
+        let epoch = view.epoch();
+        for idx in 0..view.len() {
+            if view.status(idx) != ReplicaStatus::In {
+                self.shared
+                    .queue_intention(idx, seq, epoch, Intent::Free(nr));
             }
         }
-        if let Some(e) = first_error {
-            // The free is being reported failed: retract the queued
-            // intentions so resync never replays it.
-            self.shared.retract_seq(seq);
-            return Err(e);
+        for &idx in &members {
+            submit.free(idx, seq, epoch, nr);
         }
-        if freed_any {
-            Ok(())
-        } else {
-            // Nothing was freed anywhere: undo the queued intentions so resync
-            // does not replay a free the caller was told failed.
-            self.shared.retract_seq(seq);
-            Err(BlockError::NoSuchBlock(nr))
-        }
+        Ok(())
     }
 
     fn read(&self, nr: BlockNr) -> Result<Bytes> {
-        // Read-one with fail-over, through the worker stream: the read queues
+        {
+            let numbers = self.shared.numbers.lock();
+            if !numbers.allocated.contains(&nr) {
+                return Err(BlockError::NoSuchBlock(nr));
+            }
+            if numbers.unwritten.contains(&nr) {
+                return Ok(Bytes::new());
+            }
+        }
+        // Read-one with fail-over, through the put lane: the read queues
         // behind every previously acknowledged write on the serving replica,
         // so a quorum ack is immediately readable even from a straggler.
         // Resyncing replicas are skipped entirely — a straggler may not serve
@@ -1020,10 +1211,7 @@ impl BlockStore for ReplicatedBlockStore {
         for &idx in &members {
             attempts += 1;
             let (tx, rx) = mpsc::channel();
-            {
-                let submit = self.submit.lock();
-                let _ = submit.senders[idx].send(Job::Read { nr, done: tx });
-            }
+            self.submit.lock().put(idx, Job::Read { nr, done: tx });
             match rx.recv() {
                 Ok(Ok(data)) => {
                     if attempts > 1 {
@@ -1035,12 +1223,15 @@ impl BlockStore for ReplicatedBlockStore {
                         // Read-repair: re-put the fresh block on every replica
                         // whose copy was detectably stale (missing or
                         // corrupted), in the background via its worker.
-                        let submit = self.submit.lock();
+                        let mut submit = self.submit.lock();
                         for &stale in &repairable {
-                            let _ = submit.senders[stale].send(Job::Repair {
-                                nr,
-                                data: data.clone(),
-                            });
+                            submit.put(
+                                stale,
+                                Job::Repair {
+                                    nr,
+                                    data: data.clone(),
+                                },
+                            );
                         }
                     }
                     return Ok(data);
@@ -1058,26 +1249,19 @@ impl BlockStore for ReplicatedBlockStore {
     }
 
     fn write(&self, nr: BlockNr, data: Bytes) -> Result<()> {
-        self.fan_out_puts(&[(nr, data)])
+        self.fan_out_puts(&[(nr, data)], false)
     }
 
     fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
-        self.fan_out_puts(writes)
+        self.fan_out_puts(writes, true)
     }
 
     fn is_allocated(&self, nr: BlockNr) -> bool {
-        self.shared
-            .membership
-            .members()
-            .iter()
-            .any(|&idx| self.shared.replicas[idx].store.is_allocated(nr))
+        self.shared.numbers.lock().allocated.contains(&nr)
     }
 
     fn allocated_count(&self) -> usize {
-        match self.shared.membership.members().first() {
-            Some(&idx) => self.shared.replicas[idx].store.allocated_count(),
-            None => 0,
-        }
+        self.shared.numbers.lock().allocated.len()
     }
 
     fn stats(&self) -> StoreStats {
@@ -1088,10 +1272,13 @@ impl BlockStore for ReplicatedBlockStore {
     }
 
     fn allocated_blocks(&self) -> Vec<BlockNr> {
-        match self.shared.membership.members().first() {
-            Some(&idx) => self.shared.replicas[idx].store.allocated_blocks(),
-            None => Vec::new(),
-        }
+        self.shared
+            .numbers
+            .lock()
+            .allocated
+            .iter()
+            .copied()
+            .collect()
     }
 }
 
@@ -1368,21 +1555,22 @@ mod tests {
         replicas.crash(1);
         replicas.write(nr, Bytes::from_static(b"during")).unwrap();
         let nr2 = replicas.allocate().unwrap();
+        // Allocation is the coordinator's own business: nothing is queued
+        // for the down replica until the block's first put.
+        assert_eq!(replicas.replica_stats().intentions_recorded, 1);
         replicas.write(nr2, Bytes::from_static(b"new")).unwrap();
-        assert!(replicas.replica_stats().degraded_writes >= 2);
+        assert_eq!(replicas.replica_stats().degraded_writes, 2);
         // The down replica is stale and divergent until resync.
         replicas.quiesce();
         assert_eq!(
             replicas.replica(1).read(nr).unwrap(),
             Bytes::from_static(b"before")
         );
+        assert!(!replicas.replica(1).is_allocated(nr2));
         assert!(!replicas.divergent_blocks().is_empty());
 
         let applied = replicas.resync(1).unwrap();
-        assert!(
-            applied >= 3,
-            "write + allocate + write replayed, got {applied}"
-        );
+        assert_eq!(applied, 2, "two writes replayed, no allocation among them");
         assert_eq!(
             replicas.replica(1).read(nr).unwrap(),
             Bytes::from_static(b"during")
@@ -1419,46 +1607,66 @@ mod tests {
     fn frees_reach_recovering_replicas_too() {
         let replicas = set(2);
         let nr = replicas.allocate().unwrap();
+        replicas.write(nr, Bytes::from_static(b"doomed")).unwrap();
+        replicas.quiesce();
         replicas.crash(1);
+        // The free returns once queued; the set forgets the number at once.
         replicas.free(nr).unwrap();
+        assert!(!replicas.is_allocated(nr));
+        replicas.quiesce();
+        assert!(!replicas.replica(0).is_allocated(nr));
         assert!(replicas.replica(1).is_allocated(nr));
-        replicas.resync(1).unwrap();
+        assert_eq!(replicas.resync(1).unwrap(), 1, "the free was an intention");
         assert!(!replicas.replica(1).is_allocated(nr));
         assert!(replicas.divergent_blocks().is_empty());
     }
 
     #[test]
     fn allocate_collision_rolls_back_all_mirrors() {
-        let replicas = set(3);
-        // Pre-allocate the number the leader will choose on replica 2 only, as a
-        // racing client through another path would.
-        replicas.replica(2).allocate_at(0).unwrap();
-        let err = replicas.allocate().unwrap_err();
-        assert_eq!(err, BlockError::AlreadyAllocated(0));
-        assert!(!replicas.replica(0).is_allocated(0));
-        assert!(!replicas.replica(1).is_allocated(0));
-        // A retry picks a fresh number and succeeds on every replica.
+        // A collision needs two allocators; a replica set has one.  A block a
+        // disk already held before the set was formed is in the seeded
+        // number table, so the coordinator never hands it out, and there is
+        // nothing to roll back on any replica.
+        let stores: Vec<Arc<dyn BlockStore>> =
+            (0..3).map(|_| Arc::new(MemStore::new()) as _).collect();
+        stores[2].allocate_at(0).unwrap();
+        stores[2].write(0, Bytes::from_static(b"theirs")).unwrap();
+        let replicas = ReplicatedBlockStore::new(stores);
+        assert!(replicas.is_allocated(0));
         let nr = replicas.allocate().unwrap();
         assert_ne!(nr, 0);
-        replicas.write(nr, Bytes::from_static(b"retry")).unwrap();
+        assert_eq!(
+            BlockStore::allocate_at(&*replicas, 0),
+            Err(BlockError::AlreadyAllocated(0))
+        );
+        replicas.write(nr, Bytes::from_static(b"mine")).unwrap();
         replicas.quiesce();
         for idx in 0..3 {
             assert_eq!(
                 replicas.replica(idx).read(nr).unwrap(),
-                Bytes::from_static(b"retry")
+                Bytes::from_static(b"mine")
             );
         }
+        assert!(!replicas.replica(0).is_allocated(0));
+        assert!(!replicas.replica(1).is_allocated(0));
+        assert_eq!(
+            replicas.replica(2).read(0).unwrap(),
+            Bytes::from_static(b"theirs")
+        );
     }
 
     #[test]
     fn allocation_fails_over_past_a_crashed_leader_disk() {
         let (disks, replicas) = faulty_set(2);
-        // The would-be leader's disk dies below the replica layer: allocation
-        // must fail over to the healthy replica instead of bricking the set.
+        // Replica 0's disk dies below the replica layer.  Allocation asks no
+        // disk, so it cannot be bricked by a dead one; the first put detects
+        // the corpse and the healthy replica carries on.
         disks[0].crash();
-        let nr = replicas.allocate().expect("fail over to the live replica");
+        let nr = replicas
+            .allocate()
+            .expect("allocation is the coordinator's");
         replicas.write(nr, Bytes::from_static(b"alive")).unwrap();
-        assert!(replicas.is_down(0), "the dead leader was auto-detected");
+        assert!(replicas.is_down(0), "the dead disk was auto-detected");
         assert_eq!(replicas.read(nr).unwrap(), Bytes::from_static(b"alive"));
 
         // Recovery replays what the dead disk missed.
@@ -1471,37 +1679,42 @@ mod tests {
     fn collision_rollback_retracts_intentions_queued_for_down_replicas() {
         let replicas = set(3);
         replicas.crash(1);
-        // Replica 2 already holds the number the leader will choose: the
-        // allocation collides and rolls back everywhere — including the
-        // intention just queued for the down replica 1.
-        replicas.replica(2).allocate_at(0).unwrap();
-        let err = replicas.allocate().unwrap_err();
-        assert_eq!(err, BlockError::AlreadyAllocated(0));
-        let applied = replicas.resync(1).unwrap();
-        assert_eq!(
-            applied, 0,
-            "the rolled-back allocation must not be replayed at resync"
-        );
-        assert!(!replicas.replica(1).is_allocated(0));
+        // An allocation queues nothing for a down replica, and freeing a
+        // number before its first put is local: nothing is ever queued that
+        // would need retracting.
+        let nr = replicas.allocate().unwrap();
+        BlockStore::allocate_at(&*replicas, nr + 1).unwrap();
+        assert!(replicas.intention_epochs(1).is_empty());
+        replicas.free(nr).unwrap();
+        replicas.free(nr + 1).unwrap();
+        assert!(replicas.intention_epochs(1).is_empty());
+        assert_eq!(replicas.replica_stats().intentions_recorded, 0);
+        assert_eq!(replicas.resync(1).unwrap(), 0);
+        for idx in 0..3 {
+            assert_eq!(replicas.replica(idx).allocated_count(), 0);
+        }
+        assert_eq!(replicas.allocated_count(), 0);
     }
 
     #[test]
     fn allocate_at_with_no_live_taker_is_an_error_and_queues_nothing() {
-        let (disks, replicas) = faulty_set(2);
-        // Both disks crash below the layer (membership still shows them In).
-        disks[0].crash();
-        disks[1].crash();
+        let replicas = set(2);
+        // The whole membership is Out: no member could ever take the block.
+        replicas.crash(0);
+        replicas.crash(1);
         assert_eq!(
             BlockStore::allocate_at(&*replicas, 7),
             Err(BlockError::Crashed),
-            "an allocation applied nowhere must not be acknowledged"
+            "an allocation no member can take must not be acknowledged"
         );
-        disks[0].recover();
-        disks[1].recover();
+        assert_eq!(replicas.allocate(), Err(BlockError::Crashed));
+        assert!(!replicas.is_allocated(7));
         assert_eq!(replicas.resync(0).unwrap(), 0);
         assert_eq!(replicas.resync(1).unwrap(), 0);
         assert!(!replicas.replica(0).is_allocated(7));
         assert!(!replicas.replica(1).is_allocated(7));
+        // Back in service, the number is free to take.
+        BlockStore::allocate_at(&*replicas, 7).unwrap();
     }
 
     #[test]
@@ -1528,6 +1741,7 @@ mod tests {
     fn whole_set_down_is_an_error() {
         let replicas = set(2);
         let nr = replicas.allocate().unwrap();
+        replicas.write(nr, Bytes::from_static(b"held")).unwrap();
         replicas.crash(0);
         replicas.crash(1);
         assert_eq!(replicas.read(nr), Err(BlockError::Crashed));
@@ -1535,6 +1749,9 @@ mod tests {
             replicas.write(nr, Bytes::from_static(b"nope")),
             Err(BlockError::Crashed)
         );
+        assert_eq!(replicas.allocate(), Err(BlockError::Crashed));
+        assert_eq!(replicas.free(nr), Err(BlockError::Crashed));
+        assert!(replicas.is_allocated(nr), "a refused free keeps the number");
         assert_eq!(replicas.live_count(), 0);
     }
 
@@ -1707,5 +1924,234 @@ mod tests {
             replicas.divergent_blocks().is_empty(),
             "resync racing a live commit stream must converge the set"
         );
+    }
+
+    // ---- coordinator-owned numbers, write-allocate, the free lane ----------
+
+    #[test]
+    fn a_write_allocated_block_reaches_a_replica_that_was_down() {
+        let replicas = set(3);
+        replicas.crash(2);
+        // One number from `allocate`, one write-allocated by the batch itself.
+        let nr = replicas.allocate().unwrap();
+        let fresh = nr + 10;
+        assert!(!replicas.is_allocated(fresh));
+        replicas
+            .write_batch(&[
+                (nr, Bytes::from_static(b"allocated")),
+                (fresh, Bytes::from_static(b"write-allocated")),
+            ])
+            .unwrap();
+        assert!(replicas.is_allocated(fresh));
+        assert_eq!(
+            replicas.read(fresh).unwrap(),
+            Bytes::from_static(b"write-allocated")
+        );
+        replicas.quiesce();
+        assert!(!replicas.replica(2).is_allocated(fresh));
+
+        assert_eq!(replicas.resync(2).unwrap(), 2);
+        assert_eq!(
+            replicas.replica(2).read(fresh).unwrap(),
+            Bytes::from_static(b"write-allocated")
+        );
+        assert_eq!(replicas.divergent_blocks(), Vec::<BlockNr>::new());
+    }
+
+    #[test]
+    fn unwritten_numbers_are_answered_without_touching_a_disk() {
+        let (disks, replicas) = faulty_set(2);
+        let nr = replicas.allocate().unwrap();
+        // Every disk is dead below the layer, yet the table answers.
+        disks[0].crash();
+        disks[1].crash();
+        assert!(replicas.is_allocated(nr));
+        assert_eq!(replicas.read(nr).unwrap(), Bytes::new());
+        assert_eq!(replicas.read(nr + 1), Err(BlockError::NoSuchBlock(nr + 1)));
+        assert_eq!(
+            replicas.write(nr + 1, Bytes::from_static(b"strict")),
+            Err(BlockError::NoSuchBlock(nr + 1)),
+            "a single write never allocates"
+        );
+        replicas.free(nr).unwrap();
+        assert!(!replicas.is_down(0) && !replicas.is_down(1));
+        assert_eq!(replicas.allocated_count(), 0);
+    }
+
+    #[test]
+    fn a_free_never_overtakes_a_straggling_put_and_holds_its_number_until_applied() {
+        let slow = Duration::from_millis(120);
+        let stores: Vec<Arc<dyn BlockStore>> = vec![
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+            Arc::new(DelayStore::new(MemStore::new(), slow)),
+        ];
+        let replicas = ReplicatedBlockStore::new(stores);
+        let nr = replicas.allocate().unwrap();
+        let start = Instant::now();
+        replicas
+            .write(nr, Bytes::from_static(b"short-lived"))
+            .unwrap();
+        // Acked by the fast majority; the straggler is still applying.
+        replicas.free(nr).unwrap();
+        let queued = start.elapsed();
+        assert!(
+            queued < slow / 2,
+            "write + free took {queued:?}, waiting on the {slow:?} straggler"
+        );
+        // The number comes back only once every member has applied the free,
+        // which on the straggler waits for its put to land first.
+        BlockStore::allocate_at(&*replicas, nr).unwrap();
+        assert!(start.elapsed() >= slow);
+        replicas.quiesce();
+        for idx in 0..3 {
+            assert!(
+                !replicas.replica(idx).is_allocated(nr),
+                "replica {idx} kept a block the set freed"
+            );
+        }
+        assert!(replicas.divergent_blocks().is_empty());
+    }
+
+    /// A disk whose frees of the held blocks each wait until the test
+    /// releases them (or a generous timeout passes), noting which held frees
+    /// have begun and counting the other frees it applies.
+    #[derive(Default)]
+    struct HeldFree {
+        inner: MemStore,
+        gate: Mutex<Gate>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct Gate {
+        held: HashSet<BlockNr>,
+        begun: HashSet<BlockNr>,
+        others_freed: usize,
+    }
+
+    impl HeldFree {
+        fn hold(&self, nr: BlockNr) {
+            self.gate.lock().held.insert(nr);
+        }
+
+        fn release(&self, nr: BlockNr) {
+            self.gate.lock().held.remove(&nr);
+            self.changed.notify_all();
+        }
+
+        /// Waits until `ready` holds of the gate; false after ten seconds.
+        fn wait_until(&self, ready: impl Fn(&Gate) -> bool) -> bool {
+            self.wait_up_to(Duration::from_secs(10), ready)
+        }
+
+        fn wait_up_to(&self, timeout: Duration, ready: impl Fn(&Gate) -> bool) -> bool {
+            let deadline = Instant::now() + timeout;
+            let mut gate = self.gate.lock();
+            while !ready(&gate) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return false;
+                }
+                self.changed.wait_for(&mut gate, left);
+            }
+            true
+        }
+    }
+
+    impl BlockStore for HeldFree {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn allocate(&self) -> Result<BlockNr> {
+            self.inner.allocate()
+        }
+        fn allocate_at(&self, nr: BlockNr) -> Result<()> {
+            self.inner.allocate_at(nr)
+        }
+        fn free(&self, nr: BlockNr) -> Result<()> {
+            let held = {
+                let mut gate = self.gate.lock();
+                gate.held.contains(&nr) && gate.begun.insert(nr)
+            };
+            if held {
+                self.changed.notify_all();
+                // Outlasts the test's own waits, so a stuck lane fails an
+                // assertion before its held free gives up.
+                self.wait_up_to(Duration::from_secs(60), |gate| !gate.held.contains(&nr));
+                return self.inner.free(nr);
+            }
+            self.inner.free(nr)?;
+            self.gate.lock().others_freed += 1;
+            self.changed.notify_all();
+            Ok(())
+        }
+        fn read(&self, nr: BlockNr) -> Result<Bytes> {
+            self.inner.read(nr)
+        }
+        fn write(&self, nr: BlockNr, data: Bytes) -> Result<()> {
+            self.inner.write(nr, data)
+        }
+        fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
+            self.inner.write_batch(writes)
+        }
+        fn is_allocated(&self, nr: BlockNr) -> bool {
+            self.inner.is_allocated(nr)
+        }
+        fn allocated_count(&self) -> usize {
+            self.inner.allocated_count()
+        }
+        fn stats(&self) -> StoreStats {
+            self.inner.stats()
+        }
+        fn allocated_blocks(&self) -> Vec<BlockNr> {
+            self.inner.allocated_blocks()
+        }
+    }
+
+    #[test]
+    fn a_deep_free_lane_gets_a_helper_and_its_fences_wait_for_both() {
+        let disk = Arc::new(HeldFree::default());
+        let replicas = ReplicatedBlockStore::new(vec![Arc::clone(&disk) as Arc<dyn BlockStore>]);
+        let blocks: Vec<BlockNr> = (0..=HELPER_DEPTH)
+            .map(|_| replicas.allocate().unwrap())
+            .collect();
+        let writes: Vec<(BlockNr, Bytes)> = blocks
+            .iter()
+            .map(|&nr| (nr, Bytes::from_static(b"garbage")))
+            .collect();
+        replicas.write_batch(&writes).unwrap();
+        let (first, second) = (blocks[0], blocks[1]);
+        disk.hold(first);
+        disk.hold(second);
+        // The worker blocks on the first held free; the rest queue behind
+        // it, the lane is HELPER_DEPTH deep, so the helper joins and blocks
+        // on the second.
+        replicas.free(first).unwrap();
+        assert!(disk.wait_until(|gate| gate.begun.contains(&first)));
+        for &nr in &blocks[1..] {
+            replicas.free(nr).unwrap();
+        }
+        assert!(
+            disk.wait_until(|gate| gate.begun.contains(&second)),
+            "no helper joined a lane {HELPER_DEPTH} frees deep"
+        );
+        std::thread::scope(|scope| {
+            let fence = scope.spawn(|| replicas.quiesce());
+            // Released, the worker drains every other free up to the fence...
+            disk.release(first);
+            assert!(disk.wait_until(|gate| gate.others_freed == HELPER_DEPTH - 1));
+            // ...where it must wait for the free the helper still holds.  (The
+            // pause only gives a fence that does not wait time to show it.)
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !fence.is_finished(),
+                "the fence returned while a free queued before it was still held"
+            );
+            disk.release(second);
+            fence.join().unwrap();
+        });
+        assert_eq!(disk.allocated_count(), 0);
+        assert_eq!(replicas.allocated_count(), 0);
     }
 }

@@ -171,7 +171,8 @@ impl BlockServer {
     }
 
     /// Allocates a *specific* block number owned by the account of `cap` (the
-    /// mirror half of the replica protocols; see [`BlockStore::allocate_at`]).
+    /// companion half of the two-server stable storage; see
+    /// [`BlockStore::allocate_at`]).
     pub fn allocate_at(&self, cap: &Capability, nr: BlockNr) -> Result<()> {
         let account = self.check(cap, Rights::CREATE)?;
         self.store.allocate_at(nr)?;
@@ -208,19 +209,31 @@ impl BlockServer {
         self.store.write(nr, data)
     }
 
-    /// Writes a batch of blocks owned by the account of `cap` in one
-    /// scatter-gather call (entries applied in order; see
-    /// [`BlockStore::write_batch`]).  The capability is verified once and
-    /// ownership per block *before* any entry is applied, so a permission
-    /// failure never leaves a partial batch behind.
+    /// Writes a batch of blocks for the account of `cap` in one scatter-gather
+    /// call (entries applied in order; see [`BlockServer::write_batch_epoch`]).
     pub fn write_batch(&self, cap: &Capability, writes: &[(BlockNr, Bytes)]) -> Result<()> {
         self.write_batch_epoch(cap, 0, writes)
     }
 
-    /// [`BlockServer::write_batch`] with the sender's membership-epoch stamp:
-    /// the epoch gate runs *before* the capability and ownership checks (and
-    /// therefore before any entry is applied), so a stale coordinator's batch
-    /// is rejected whole with [`BlockError::EpochMismatch`].
+    /// Writes a batch of blocks for the account of `cap`, stamped with the
+    /// sender's membership epoch, in one scatter-gather call (entries applied
+    /// in order; see [`BlockStore::write_batch`]).
+    ///
+    /// Every check runs *before* any entry is applied, so a refused batch
+    /// never leaves a partial batch behind:
+    ///
+    /// * the epoch gate first, so a stale coordinator's batch is rejected
+    ///   whole with [`BlockError::EpochMismatch`];
+    /// * then the capability, which must carry `WRITE`;
+    /// * then ownership per entry.  An entry owned by another account fails
+    ///   the batch with [`BlockError::PermissionDenied`].  An entry nobody
+    ///   owns is *write-allocated* for the caller, which needs `CREATE` for
+    ///   it — this is how a replica set's coordinator places a block it
+    ///   numbered itself.
+    ///
+    /// A write-allocated entry is recorded as the caller's only when the
+    /// store applied it: if the store fails mid-batch, the entries it did not
+    /// take stay unowned.
     pub fn write_batch_epoch(
         &self,
         cap: &Capability,
@@ -229,10 +242,42 @@ impl BlockServer {
     ) -> Result<()> {
         self.admit_epoch(epoch)?;
         let account = self.check(cap, Rights::WRITE)?;
-        for (nr, _) in writes {
-            self.check_owned(account, *nr)?;
+        let may_create = self.minter.lock().verify(cap, Rights::CREATE).is_ok();
+        // Checked and claimed under one lock, so two accounts racing to
+        // write-allocate one number cannot both win.
+        let fresh: Vec<BlockNr> = {
+            let mut accounts = self.accounts.lock();
+            let mut fresh = Vec::new();
+            for (nr, _) in writes {
+                match accounts.owner.get(nr) {
+                    Some(&owner) if owner == account => {}
+                    None if may_create => fresh.push(*nr),
+                    _ => return Err(BlockError::PermissionDenied),
+                }
+            }
+            fresh.sort_unstable();
+            fresh.dedup();
+            for &nr in &fresh {
+                accounts.owner.insert(nr, account);
+                accounts.owned.entry(account).or_default().insert(nr);
+            }
+            fresh
+        };
+        let result = self.store.write_batch(writes);
+        if result.is_err() {
+            let unapplied: Vec<BlockNr> = fresh
+                .into_iter()
+                .filter(|&nr| !self.store.is_allocated(nr))
+                .collect();
+            let mut accounts = self.accounts.lock();
+            for nr in unapplied {
+                accounts.owner.remove(&nr);
+                if let Some(set) = accounts.owned.get_mut(&account) {
+                    set.remove(&nr);
+                }
+            }
         }
-        self.store.write_batch(writes)
+        result
     }
 
     /// Frees a block owned by the account of `cap`.
@@ -409,6 +454,79 @@ mod tests {
             server.read(&alice, mine).unwrap(),
             Bytes::from_static(b"new")
         );
+    }
+
+    #[test]
+    fn write_allocation_needs_create_and_a_free_number() {
+        let (server, alice) = server();
+        let bob = server.create_account();
+        let mine = server.allocate(&alice).unwrap();
+        server
+            .write(&alice, mine, Bytes::from_static(b"old"))
+            .unwrap();
+        let theirs = server.allocate(&bob).unwrap();
+        let fresh = theirs + 100;
+        let store = Arc::clone(server.store());
+        let untouched = |server: &BlockServer| {
+            assert_eq!(
+                server.read(&alice, mine).unwrap(),
+                Bytes::from_static(b"old")
+            );
+            assert!(!store.is_allocated(fresh));
+            assert_eq!(server.recover(&alice).unwrap(), vec![mine]);
+        };
+
+        // Without CREATE, a batch naming an unowned number is refused whole.
+        let write_only = server
+            .minter
+            .lock()
+            .restrict(&alice, Rights::WRITE)
+            .unwrap();
+        let batch = vec![
+            (mine, Bytes::from_static(b"new")),
+            (fresh, Bytes::from_static(b"fresh")),
+        ];
+        assert_eq!(
+            server.write_batch(&write_only, &batch),
+            Err(BlockError::PermissionDenied)
+        );
+        untouched(&server);
+
+        // With CREATE, write-allocating into another account's block is
+        // refused whole too.
+        let batch = vec![
+            (fresh, Bytes::from_static(b"fresh")),
+            (theirs, Bytes::from_static(b"stolen")),
+        ];
+        assert_eq!(
+            server.write_batch(&alice, &batch),
+            Err(BlockError::PermissionDenied)
+        );
+        untouched(&server);
+        assert_eq!(server.read(&bob, theirs).unwrap(), Bytes::new());
+
+        // Under WRITE and CREATE, the batch takes the fresh number for its account.
+        server
+            .write_batch(&alice, &[(fresh, Bytes::from_static(b"fresh"))])
+            .unwrap();
+        assert_eq!(server.recover(&alice).unwrap(), vec![mine, fresh]);
+        assert_eq!(
+            server.read(&alice, fresh).unwrap(),
+            Bytes::from_static(b"fresh")
+        );
+        assert_eq!(server.read(&bob, fresh), Err(BlockError::PermissionDenied));
+    }
+
+    #[test]
+    fn a_write_allocation_the_store_refuses_stays_unowned() {
+        let server = BlockServer::new(Arc::new(MemStore::with_block_size(4)));
+        let alice = server.create_account();
+        let batch = vec![(9, Bytes::from_static(b"too large"))];
+        assert!(matches!(
+            server.write_batch(&alice, &batch),
+            Err(BlockError::TooLarge { .. })
+        ));
+        assert!(server.recover(&alice).unwrap().is_empty());
     }
 
     #[test]

@@ -74,22 +74,36 @@ pub trait BlockStore: Send + Sync {
     /// Reads the current contents of a block.
     fn read(&self, nr: BlockNr) -> Result<Bytes>;
 
-    /// Atomically replaces the contents of a block.
+    /// Atomically replaces the contents of an allocated block.  Writing a
+    /// block that is not allocated fails with
+    /// [`crate::BlockError::NoSuchBlock`].
     fn write(&self, nr: BlockNr, data: Bytes) -> Result<()>;
 
     /// Writes several blocks in one scatter-gather call, applying the entries
     /// **in the given order**.
     ///
+    /// **Write-allocate:** unlike [`BlockStore::write`], an entry naming a
+    /// block that is not allocated allocates it, exactly as
+    /// [`BlockStore::allocate_at`] would, before writing it.  This is how a
+    /// replica set's coordinator, which chooses block numbers itself, puts a
+    /// fresh block on its disks without a separate allocation round trip.
+    /// A number the store can never hold (out of range, or no space left)
+    /// fails the call.
+    ///
     /// Each individual block write keeps the atomicity guarantee of
     /// [`BlockStore::write`]; the batch as a whole is *not* atomic — a crash
-    /// mid-batch may leave a strict prefix of the entries applied, which is why
-    /// the commit flush orders children before parents.  The default
-    /// implementation loops over `write`; native implementations take their
-    /// lock (or ship their RPC, or seek their disk head) once per batch, so a
-    /// k-block flush costs one physical call instead of k.  Counted as a single
-    /// call in [`StoreStats::write_calls`] when served natively.
+    /// mid-batch may leave a strict prefix of the entries applied (and
+    /// allocated), which is why the commit flush orders children before
+    /// parents.  The default implementation loops over the entries with
+    /// `is_allocated`, `allocate_at` and `write`; native implementations take
+    /// their lock (or ship their RPC, or seek their disk head) once per batch,
+    /// so a k-block flush costs one physical call instead of k.  Counted as a
+    /// single call in [`StoreStats::write_calls`] when served natively.
     fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
         for (nr, data) in writes {
+            if !self.is_allocated(*nr) {
+                self.allocate_at(*nr)?;
+            }
             self.write(*nr, data.clone())?;
         }
         Ok(())

@@ -33,8 +33,8 @@ use amoeba_capability::{Capability, Rights};
 
 use crate::flags::PageFlags;
 use crate::page::PageRef;
-use crate::service::{FileService, VersionState};
-use crate::types::{FsError, Result};
+use crate::service::{FileService, VersionMeta, VersionState};
+use crate::types::{FsError, Result, VersionId};
 
 /// What one garbage-collection pass accomplished.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -290,7 +290,7 @@ impl FileService {
         // version that commits during the mark may have staged new blocks after
         // its uncommitted root was marked; taking it as a candidate would free
         // those live blocks.  Its garbage waits for the next pass.
-        let committed_versions: Vec<Arc<parking_lot::Mutex<crate::service::VersionMeta>>> = {
+        let committed_versions: Vec<Arc<parking_lot::Mutex<VersionMeta>>> = {
             let versions = self.versions.read();
             versions
                 .values()
@@ -341,28 +341,47 @@ impl FileService {
             }
         }
 
-        // Free the version pages (and table entries) of trimmed versions.  The
-        // block index turns the old lock-every-version scan into one hash probe.
+        // Retire the trimmed versions.  The blocks a trimmed version owns that
+        // are still reachable are shared with a retained version: the oldest
+        // retained version inherits them, so the sweep that finds them
+        // unreachable later frees them (dropped with the version, nobody
+        // would).  Each version is looked up and forgotten *before* its page
+        // is freed: a freed number may be reissued at once — even to another
+        // file's new version page — and a lookup by number would then find,
+        // and forget, that version instead.
+        let heir = self.version_at_block(retained_chain[0]);
         for &block in removed_versions {
-            if !reachable.contains(&block) && self.pages.free_page(block).is_ok() {
-                freed += 1;
-            }
-            let victim = self.block_index.read().get(&block).copied();
-            let victim =
-                victim.and_then(|id| self.versions.read().get(&id).map(|m| (id, Arc::clone(m))));
-            if let Some((id, meta)) = victim {
-                // Any blocks the trimmed version still owned and that are unreachable
-                // can go too.
-                let owned: Vec<BlockNr> = meta.lock().owned_blocks.iter().copied().collect();
+            if let Some((id, meta)) = self.version_at_block(block) {
+                let owned = std::mem::take(&mut meta.lock().owned_blocks);
+                let mut shared = Vec::new();
                 for nr in owned {
-                    if !reachable.contains(&nr) && self.pages.free_page(nr).is_ok() {
+                    if reachable.contains(&nr) {
+                        shared.push(nr);
+                    } else if self.pages.free_page(nr).is_ok() {
                         freed += 1;
                     }
                 }
+                if let Some((_, heir)) = &heir {
+                    heir.lock().owned_blocks.extend(shared);
+                }
                 self.forget_version(id, block);
+            }
+            if !reachable.contains(&block) && self.pages.free_page(block).is_ok() {
+                freed += 1;
             }
         }
         Ok(freed)
+    }
+
+    /// The version whose page is `block`, through the block index (one hash
+    /// probe instead of a scan that locks every version).
+    fn version_at_block(
+        &self,
+        block: BlockNr,
+    ) -> Option<(VersionId, Arc<parking_lot::Mutex<VersionMeta>>)> {
+        let id = self.block_index.read().get(&block).copied()?;
+        let meta = self.versions.read().get(&id).map(Arc::clone)?;
+        Some((id, meta))
     }
 
     /// Collects all blocks reachable from the page at `block` (inclusive).

@@ -543,13 +543,15 @@ impl PageIo {
     // ------------------------------------------------------------------
 
     /// Frees the block holding a page, dropping any buffered or cached copy.
+    /// The copies go first: once the block service has freed the number it
+    /// may reissue it, and the next owner's pages must survive this call.
     pub fn free_page(&self, nr: BlockNr) -> Result<()> {
-        self.server.free(&self.account, nr)?;
-        self.freed.fetch_add(1, Ordering::Relaxed);
         self.overlay.remove(nr);
         if let Some(cache) = &self.cache {
             cache.remove(nr);
         }
+        self.server.free(&self.account, nr)?;
+        self.freed.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 

@@ -788,6 +788,69 @@ fn a_k_page_commit_costs_o1_block_write_rpcs_per_replica() {
     }
 }
 
+/// The replica set's coordinator numbers its blocks itself and each number
+/// reaches the disks inside its first `WriteBlocks` batch, so an update costs
+/// no allocation round trip at all — and an aborted update's pages, never
+/// written, are freed without a `Free` round trip either.
+#[test]
+fn a_32_page_update_sends_no_allocation_rpcs_to_any_replica() {
+    use afs_core::BlockServer;
+    use afs_server::{BlockServerProcess, RemoteBlockStore};
+    use amoeba_block::{BlockStore, MemStore, ReplicatedBlockStore};
+    use amoeba_rpc::block::BlockOp;
+
+    let network = Arc::new(LocalNetwork::new());
+    let counting = Arc::new(OpCountingTransport::new(Arc::clone(&network)));
+    let processes: Vec<BlockServerProcess> = (0..3)
+        .map(|_| BlockServerProcess::start(Arc::clone(&network), Arc::new(MemStore::new())))
+        .collect();
+    let ports: Vec<Port> = processes.iter().map(|p| p.port()).collect();
+    let stores: Vec<Arc<dyn BlockStore>> = ports
+        .iter()
+        .map(|&port| {
+            Arc::new(RemoteBlockStore::connect(Arc::clone(&counting), port).unwrap())
+                as Arc<dyn BlockStore>
+        })
+        .collect();
+    let replicas = ReplicatedBlockStore::new(stores);
+    let service = FileService::new(Arc::new(BlockServer::new(
+        Arc::clone(&replicas) as Arc<dyn BlockStore>
+    )));
+    let allocation_rpcs = |port: Port| -> u64 {
+        [BlockOp::Allocate, BlockOp::AllocateAt, BlockOp::Free]
+            .iter()
+            .map(|&op| counting.count(port, op as u32))
+            .sum()
+    };
+    let update = |commit: bool| {
+        let file = service.create_file().unwrap();
+        let v = service.create_version(&file).unwrap();
+        for i in 0..32u8 {
+            service
+                .append_page(&v, &PagePath::root(), Bytes::from(vec![i; 4096]))
+                .unwrap();
+        }
+        if commit {
+            service.commit(&v).unwrap();
+        } else {
+            service.abort_version(&v).unwrap();
+        }
+        replicas.quiesce();
+    };
+
+    update(true);
+    update(false);
+    for (replica, &port) in ports.iter().enumerate() {
+        assert_eq!(
+            allocation_rpcs(port),
+            0,
+            "replica {replica}: allocation or free RPCs on the update path"
+        );
+        assert!(counting.count(port, BlockOp::WriteBlocks as u32) > 0);
+    }
+    assert!(replicas.divergent_blocks().is_empty());
+}
+
 /// The full topology with the storage tier behind RPC: shards × replicated
 /// remote block servers × server processes, with a block-server process killed
 /// and resynced mid-suite.
