@@ -22,12 +22,15 @@
 //! * **batched puts** — [`BlockStore::write_batch`] ships a whole commit
 //!   flush's dirty pages to each replica as a single scatter-gather call, one
 //!   call per replica instead of one per block;
-//! * **read-one with read-repair** — a read is served by the first In replica,
-//!   failing over past crashed, corrupted or missing copies; when the fail-over
-//!   succeeds, every replica whose copy was detectably stale (missing or
-//!   corrupted) gets the fresh block re-put in the background.  Resyncing
-//!   replicas serve no reads: a straggler may not answer until it has caught
-//!   up to the current epoch;
+//! * **read-one with read-repair** — a read runs on the caller's thread.  It
+//!   goes first to the In replica with the shortest put backlog (the lowest
+//!   index among equals, so an idle set reads replica 0), waits for that
+//!   replica's put lane to finish every job submitted before the read, and
+//!   fails over serially past crashed, corrupted or missing copies; when the
+//!   fail-over succeeds, every replica whose copy was detectably stale
+//!   (missing or corrupted) gets the fresh block re-put in the background.
+//!   Resyncing replicas serve no reads: a straggler may not answer until it
+//!   has caught up to the current epoch;
 //! * **epoch-stamped intention recording** — writes an absent replica misses
 //!   are queued on its *intentions list* (§4's "the survivor keeps a list of
 //!   blocks that have been modified"), each stamped with the global submission
@@ -127,8 +130,8 @@ struct Replica {
     /// replica (the satellite "idempotent-and-safe" rule: a second resync
     /// waits, then finds the replica In and returns 0).
     resync_lock: Mutex<()>,
-    /// Jobs the put lane has finished; a free waits here for the put-lane
-    /// jobs submitted before it.
+    /// Jobs the put lane has finished; a free or a read waits here for the
+    /// put-lane jobs submitted before it.
     puts_done: Progress,
     /// Frees the free lane has finished; a free-lane fence waits here for
     /// the frees submitted before it.
@@ -147,6 +150,11 @@ impl Progress {
     fn advance(&self) {
         *self.done.lock() += 1;
         self.advanced.notify_all();
+    }
+
+    /// How many jobs have finished so far.
+    fn finished(&self) -> u64 {
+        *self.done.lock()
     }
 
     /// Returns once at least `mark` jobs have finished.
@@ -182,6 +190,8 @@ pub struct ReplicaSetStats {
 /// A job on a replica's put lane: every put the coordinator submits flows
 /// through here in global submission order, so per-replica apply order equals
 /// submission order even when the coordinator acks at quorum and moves on.
+/// Reads and frees do not ride the lane; they wait on its progress mark
+/// ([`Replica::puts_done`]) for the jobs submitted before them.
 enum Job {
     /// Apply a put batch (or queue it as an intention when the replica is not
     /// In), reporting the outcome to the coordinator.
@@ -190,13 +200,6 @@ enum Job {
         epoch: Epoch,
         writes: Writes,
         done: mpsc::Sender<PutOutcome>,
-    },
-    /// Serve a read from this replica's disk.  Routed through the worker so a
-    /// read submitted after an acknowledged write always sees it (the read
-    /// queues behind the write on the same stream).
-    Read {
-        nr: BlockNr,
-        done: mpsc::Sender<Result<Bytes>>,
     },
     /// Re-put a block whose copy here was detectably stale on a fail-over
     /// read.  Applied only if the copy is *still* stale when the job runs, so
@@ -359,6 +362,25 @@ impl Shared {
         }
     }
 
+    /// Reads `nr` from replica `idx` on the caller's thread, once its put
+    /// lane has finished its first `after` jobs.
+    fn read_one(&self, idx: usize, nr: BlockNr, after: u64) -> Result<Bytes> {
+        let replica = &self.replicas[idx];
+        replica.puts_done.wait_for(after);
+        if self.membership.status(idx) != ReplicaStatus::In {
+            return Err(BlockError::Crashed);
+        }
+        match replica.store.read(nr) {
+            Err(BlockError::Crashed) => {
+                // The disk below crashed without going through crash():
+                // depose it so writes queue intentions.
+                self.depose(idx, true);
+                Err(BlockError::Crashed)
+            }
+            other => other,
+        }
+    }
+
     /// One member has applied or queued the free of `nr`; the last one
     /// makes the number reissuable.
     fn release(&self, nr: BlockNr) {
@@ -389,6 +411,10 @@ impl Shared {
 /// the only code that applies put traffic to its disk, which is what keeps
 /// "version page strictly last" true per replica even though the coordinator
 /// acks at quorum and stops waiting.
+///
+/// A job's progress mark advances *before* its outcome is reported, so a
+/// replica that helped a write reach quorum already shows no backlog for it
+/// when the next read picks a replica.
 fn put_lane(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
     let replica = &shared.replicas[idx];
     while let Ok(job) = jobs.recv() {
@@ -417,23 +443,8 @@ fn put_lane(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
                         }
                     }
                 };
+                replica.puts_done.advance();
                 let _ = done.send(outcome);
-            }
-            Job::Read { nr, done } => {
-                let result = if shared.membership.status(idx) != ReplicaStatus::In {
-                    Err(BlockError::Crashed)
-                } else {
-                    match replica.store.read(nr) {
-                        Err(BlockError::Crashed) => {
-                            // The disk below crashed without going through
-                            // crash(): depose it so writes queue intentions.
-                            shared.depose(idx, true);
-                            Err(BlockError::Crashed)
-                        }
-                        other => other,
-                    }
-                };
-                let _ = done.send(result);
             }
             Job::Repair { nr, data } => {
                 // Apply only if the copy is still detectably stale: a write
@@ -448,12 +459,13 @@ fn put_lane(shared: Arc<Shared>, idx: usize, jobs: mpsc::Receiver<Job>) {
                 {
                     shared.read_repairs.fetch_add(1, Ordering::Relaxed);
                 }
+                replica.puts_done.advance();
             }
             Job::Barrier { done } => {
+                replica.puts_done.advance();
                 let _ = done.send(());
             }
         }
-        replica.puts_done.advance();
     }
 }
 
@@ -590,7 +602,8 @@ fn spawn_worker(name: String, body: impl FnOnce() + Send + 'static) -> std::thre
 struct SubmitState {
     puts: Vec<mpsc::Sender<Job>>,
     frees: Vec<Arc<FreeLane>>,
-    /// Jobs sent down each put lane so far: the `after` mark of a free.
+    /// Jobs sent down each put lane so far: the `after` mark of a free or a
+    /// read.
     put_jobs_sent: Vec<u64>,
     /// Frees sent down each free lane so far: the `after` mark of a fence.
     frees_sent: Vec<u64>,
@@ -1199,25 +1212,36 @@ impl BlockStore for ReplicatedBlockStore {
                 return Ok(Bytes::new());
             }
         }
-        // Read-one with fail-over, through the put lane: the read queues
-        // behind every previously acknowledged write on the serving replica,
-        // so a quorum ack is immediately readable even from a straggler.
-        // Resyncing replicas are skipped entirely — a straggler may not serve
-        // reads until it has caught up to the current epoch.
-        let members = self.shared.membership.members();
+        // Read-one with fail-over, on the caller's thread: a replica serves
+        // the read only after its put lane has finished every job submitted
+        // before it, so a quorum ack is immediately readable even from a
+        // straggler.  Members are tried shortest backlog first, so a
+        // caught-up replica answers without waiting.  Resyncing replicas are
+        // skipped entirely — a straggler may not serve reads until it has
+        // caught up to the current epoch.
+        let mut order: Vec<(u64, usize, u64)> = {
+            let submit = self.submit.lock();
+            self.shared
+                .membership
+                .members()
+                .into_iter()
+                .map(|idx| {
+                    let sent = submit.put_jobs_sent[idx];
+                    let backlog = sent - self.shared.replicas[idx].puts_done.finished();
+                    (backlog, idx, sent)
+                })
+                .collect()
+        };
+        order.sort_unstable();
         let mut last = BlockError::Crashed;
-        let mut attempts = 0u64;
         let mut repairable: Vec<usize> = Vec::new();
-        for &idx in &members {
-            attempts += 1;
-            let (tx, rx) = mpsc::channel();
-            self.submit.lock().put(idx, Job::Read { nr, done: tx });
-            match rx.recv() {
-                Ok(Ok(data)) => {
-                    if attempts > 1 {
+        for (failed_over, &(_, idx, sent)) in order.iter().enumerate() {
+            match self.shared.read_one(idx, nr, sent) {
+                Ok(data) => {
+                    if failed_over > 0 {
                         self.shared
                             .failover_reads
-                            .fetch_add(attempts - 1, Ordering::Relaxed);
+                            .fetch_add(failed_over as u64, Ordering::Relaxed);
                     }
                     if !repairable.is_empty() {
                         // Read-repair: re-put the fresh block on every replica
@@ -1236,13 +1260,12 @@ impl BlockStore for ReplicatedBlockStore {
                     }
                     return Ok(data);
                 }
-                Ok(Err(e)) => {
+                Err(e) => {
                     if matches!(e, BlockError::NoSuchBlock(_) | BlockError::Corrupted(_)) {
                         repairable.push(idx);
                     }
                     last = e;
                 }
-                Err(_) => last = BlockError::Crashed,
             }
         }
         Err(last)
@@ -1793,6 +1816,69 @@ mod tests {
     }
 
     #[test]
+    fn a_read_waits_only_for_the_puts_submitted_before_it() {
+        // Replica 0, the one an idle set reads first, is the straggler.
+        let slow = Duration::from_millis(120);
+        let stores: Vec<Arc<dyn BlockStore>> = vec![
+            Arc::new(DelayStore::new(MemStore::new(), slow)),
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+        ];
+        let replicas = ReplicatedBlockStore::new(stores);
+        let nr = replicas.allocate().unwrap();
+        replicas.write(nr, Bytes::from_static(b"old")).unwrap();
+        replicas.quiesce();
+        let reads_before: Vec<u64> = (0..3).map(|i| replicas.replica(i).stats().reads).collect();
+        let start = Instant::now();
+        replicas.write(nr, Bytes::from_static(b"new")).unwrap();
+        // Acked by replicas 1 and 2 while replica 0 is still applying: the
+        // read skips the straggler's backlog instead of queueing behind it.
+        assert_eq!(replicas.read(nr).unwrap(), Bytes::from_static(b"new"));
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < slow / 2,
+            "write + read took {elapsed:?}, waiting on the {slow:?} straggler"
+        );
+        let served: Vec<u64> = (0..3)
+            .map(|i| replicas.replica(i).stats().reads - reads_before[i])
+            .collect();
+        assert_eq!(served, vec![0, 1, 0], "the first caught-up replica serves");
+        assert_eq!(replicas.replica_stats().failover_reads, 0);
+        assert!(replicas.divergent_blocks().is_empty());
+    }
+
+    #[test]
+    fn a_read_from_a_lagging_member_waits_for_its_backlog() {
+        let lagging = Arc::new(HeldDisk::default());
+        let replicas = ReplicatedBlockStore::new(vec![
+            Arc::clone(&lagging) as Arc<dyn BlockStore>,
+            Arc::new(MemStore::new()),
+            Arc::new(MemStore::new()),
+        ]);
+        let nr = replicas.allocate().unwrap();
+        replicas.write(nr, Bytes::from_static(b"old")).unwrap();
+        replicas.quiesce();
+        lagging.hold_puts();
+        replicas.write(nr, Bytes::from_static(b"acked")).unwrap();
+        // Only the lagging replica is left, with the acked put held in its
+        // lane.
+        replicas.crash(1);
+        replicas.crash(2);
+        assert_eq!(replicas.live_count(), 1);
+        std::thread::scope(|scope| {
+            let read = scope.spawn(|| replicas.read(nr));
+            // The pause only gives a read that does not wait time to show it.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !read.is_finished(),
+                "the read returned while the put before it was held"
+            );
+            lagging.release_puts();
+            assert_eq!(read.join().unwrap().unwrap(), Bytes::from_static(b"acked"));
+        });
+    }
+
+    #[test]
     fn epochs_bump_on_depose_and_rejoin_and_stamp_intentions() {
         let replicas = set(3);
         assert_eq!(replicas.epoch(), 1);
@@ -2013,11 +2099,12 @@ mod tests {
         assert!(replicas.divergent_blocks().is_empty());
     }
 
-    /// A disk whose frees of the held blocks each wait until the test
-    /// releases them (or a generous timeout passes), noting which held frees
-    /// have begun and counting the other frees it applies.
+    /// A disk whose frees of the held blocks, and whose put batches while
+    /// puts are held, each wait until the test releases them (or a generous
+    /// timeout passes), noting which held frees have begun and counting the
+    /// other frees it applies.
     #[derive(Default)]
-    struct HeldFree {
+    struct HeldDisk {
         inner: MemStore,
         gate: Mutex<Gate>,
         changed: Condvar,
@@ -2028,15 +2115,25 @@ mod tests {
         held: HashSet<BlockNr>,
         begun: HashSet<BlockNr>,
         others_freed: usize,
+        puts_held: bool,
     }
 
-    impl HeldFree {
+    impl HeldDisk {
         fn hold(&self, nr: BlockNr) {
             self.gate.lock().held.insert(nr);
         }
 
         fn release(&self, nr: BlockNr) {
             self.gate.lock().held.remove(&nr);
+            self.changed.notify_all();
+        }
+
+        fn hold_puts(&self) {
+            self.gate.lock().puts_held = true;
+        }
+
+        fn release_puts(&self) {
+            self.gate.lock().puts_held = false;
             self.changed.notify_all();
         }
 
@@ -2059,7 +2156,7 @@ mod tests {
         }
     }
 
-    impl BlockStore for HeldFree {
+    impl BlockStore for HeldDisk {
         fn block_size(&self) -> usize {
             self.inner.block_size()
         }
@@ -2093,6 +2190,7 @@ mod tests {
             self.inner.write(nr, data)
         }
         fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
+            self.wait_up_to(Duration::from_secs(60), |gate| !gate.puts_held);
             self.inner.write_batch(writes)
         }
         fn is_allocated(&self, nr: BlockNr) -> bool {
@@ -2111,7 +2209,7 @@ mod tests {
 
     #[test]
     fn a_deep_free_lane_gets_a_helper_and_its_fences_wait_for_both() {
-        let disk = Arc::new(HeldFree::default());
+        let disk = Arc::new(HeldDisk::default());
         let replicas = ReplicatedBlockStore::new(vec![Arc::clone(&disk) as Arc<dyn BlockStore>]);
         let blocks: Vec<BlockNr> = (0..=HELPER_DEPTH)
             .map(|_| replicas.allocate().unwrap())

@@ -46,9 +46,11 @@
 //! * [`LocalNetwork`] (alias [`LocalTransport`]) — an in-process transport
 //!   connecting clients to registered [`RequestHandler`]s, with configurable
 //!   latency, message loss and partitions for the robustness experiments,
-//! * [`tcp`] — the real TCP transport: a readiness-driven reactor on the
-//!   server (one poll loop over all connections, worker pool pipelining
-//!   requests) and a connection-pooling multiplexed client, and
+//! * [`tcp`] — the real TCP transport: a leader/follower thread pool on the
+//!   server (one thread at a time polls every connection, and a request runs
+//!   on the thread that read it while a follower takes over the polling) and
+//!   a connection-pooling multiplexed client with one blocking reader thread
+//!   per connection, and
 //! * [`block`] — the wire protocol of the block service, including the
 //!   [`block::BlockOp::WriteBlocks`] scatter-gather op that carries a commit
 //!   flush to each replica disk as a single request, and

@@ -9,28 +9,38 @@
 //!   [`MuxCore`], and is woken when *its* reply lands,
 //!   whatever order replies arrive in; and
 //! * the server pipelines independent requests from the same connection:
-//!   frames are peeled off by a readiness-driven reactor and handed to a
-//!   worker pool, so a slow transaction (a faulted disk, a long scan) does
-//!   not convoy the requests queued behind it.
+//!   each request frame runs on its own pool thread, so a slow transaction
+//!   (a faulted disk, a long scan) does not convoy the requests queued
+//!   behind it.
 //!
 //! # Server
 //!
-//! [`TcpServer`] runs one *reactor* thread: a level-triggered
-//! [`epoll::Poller`] over the listening socket and every accepted
-//! connection.  The reactor does no service work itself — it accepts,
-//! reads, and slices the byte stream into frames, dispatching each complete
-//! frame to a spawn-on-demand worker pool (idle workers are reused, so the
-//! pool grows exactly as deep as the offered concurrency).  Workers run the
-//! registered [`RequestHandler`] and write the id-tagged reply back under a
-//! per-connection write lock, waiting for writability when the socket's
-//! send buffer is full.
+//! [`TcpServer`] is a *leader/follower* thread pool over one level-triggered
+//! [`epoll::Poller`] that watches the listening socket and every accepted
+//! connection.  At any moment one pool thread, the leader, waits in the
+//! poller: it accepts connections, reads and frames the byte streams, and
+//! records callback acks on the spot.  When a read yields request frames,
+//! the leader first hands leadership to a parked follower (or spawns a
+//! thread, while fewer than `MAX_WORKERS` are alive), then runs the
+//! registered [`RequestHandler`] for the first frame and writes the
+//! id-tagged reply itself — a request is served by the thread that read it,
+//! with no hand-off in between.  Further frames from the same wake-up are
+//! queued for parked followers.  When no thread can take over, the leader
+//! queues every frame and keeps leading, so acks are always read and a
+//! handler parked in a lease settle can never starve the reader.
+//!
+//! Replies and callback pushes leave through one per-connection write lock.
+//! A writer facing a full send buffer waits for writability, but for at most
+//! `WRITE_STALL_LIMIT` per frame; then it closes the connection and shuts
+//! its socket down, so a peer that stops reading cannot hold server threads
+//! for ever, and a partial frame is never followed by another.
 //!
 //! # Client
 //!
 //! [`TcpClient`] keeps a small pool of persistent connections (round-robin
 //! per transaction, [`TcpClient::with_connections`] sizes it); cloning the
 //! client shares the pool.  Each connection owns a
-//! [`MuxCore`] pending-reply table and a reader thread
+//! [`MuxCore`] pending-reply table and a blocking reader thread
 //! that completes whichever request each arriving reply names.  Connections
 //! are (re-)established lazily with a jittered [`Backoff`]; re-establishment
 //! after the initial connect is counted and surfaced through
@@ -42,7 +52,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -63,140 +73,54 @@ use crate::mux::MuxCore;
 use crate::{Backoff, CallbackChannel, CallbackSink, RequestHandler, Result, RpcError, Transport};
 
 // ---------------------------------------------------------------------------
-// Worker pool: spawn on demand, reuse idle threads, retire them when quiet.
-// ---------------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send>;
-
-/// Hard ceiling on concurrently live worker threads per pool.  Beyond this,
-/// jobs queue until a worker frees up — spawning yet more threads for a
-/// service that is already saturated only adds scheduler pressure.
-const MAX_WORKERS: usize = 512;
-
-struct PoolInner {
-    queue: VecDeque<Job>,
-    idle: usize,
-    /// Worker threads currently alive (idle or busy).
-    live: usize,
-    shutdown: bool,
-}
-
-struct WorkerPool {
-    inner: Mutex<PoolInner>,
-    ready: Condvar,
-}
-
-impl WorkerPool {
-    fn new() -> Arc<Self> {
-        Arc::new(WorkerPool {
-            inner: Mutex::new(PoolInner {
-                queue: VecDeque::new(),
-                idle: 0,
-                live: 0,
-                shutdown: false,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Queues a job.  An idle worker is woken when one exists; otherwise a
-    /// fresh worker is spawned *only* while the pool is below [`MAX_WORKERS`]
-    /// — in steady state every busy worker loops back for the next queued job
-    /// itself, so saturation does not turn into a thread-spawn per frame on
-    /// the reactor thread.
-    fn execute(self: &Arc<Self>, job: Job) {
-        let spawn = {
-            let mut inner = self.inner.lock();
-            if inner.shutdown {
-                return;
-            }
-            inner.queue.push_back(job);
-            if inner.idle > 0 {
-                self.ready.notify_one();
-                false
-            } else if inner.live < MAX_WORKERS {
-                inner.live += 1;
-                true
-            } else {
-                false
-            }
-        };
-        if spawn {
-            let pool = Arc::clone(self);
-            std::thread::spawn(move || pool.worker_loop());
-        }
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut inner = self.inner.lock();
-                loop {
-                    if let Some(job) = inner.queue.pop_front() {
-                        break job;
-                    }
-                    if inner.shutdown {
-                        inner.live -= 1;
-                        return;
-                    }
-                    inner.idle += 1;
-                    let timed_out = self.ready.wait_for(&mut inner, Duration::from_secs(2));
-                    inner.idle -= 1;
-                    if timed_out && inner.queue.is_empty() {
-                        // Quiet for a while: retire instead of idling forever.
-                        inner.live -= 1;
-                        return;
-                    }
-                }
-            };
-            job();
-        }
-    }
-
-    fn shutdown(&self) {
-        self.inner.lock().shutdown = true;
-        self.ready.notify_all();
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared frame I/O helpers.
 // ---------------------------------------------------------------------------
 
-/// Pops one complete `len | body` frame off the front of `buf`, or returns
-/// `Ok(None)` if more bytes are needed.  An impossible length word poisons
-/// the connection (`Err`): the stream can never resynchronise.
-fn extract_frame(buf: &mut Vec<u8>) -> Result<Option<Bytes>> {
-    if buf.len() < 4 {
-        return Ok(None);
+/// How long a writer may wait, in total, for a peer to make room for one
+/// frame before the connection is given up.
+const WRITE_STALL_LIMIT: Duration = Duration::from_secs(5);
+
+/// Appends every complete `len | body` frame at the front of `data` to
+/// `bodies`, each body copied once into a buffer of its own, and returns how
+/// many bytes they took.  An impossible length word poisons the connection
+/// (`Err`): the stream can never resynchronise.
+fn split_frames(data: &[u8], bodies: &mut Vec<Bytes>) -> Result<usize> {
+    let mut used = 0;
+    while let Some(header) = data.get(used..used + 4) {
+        let len = u32::from_le_bytes(header.try_into().expect("a four-byte slice")) as usize;
+        if len > MAX_FRAME_BODY {
+            return Err(RpcError::Decode(format!(
+                "frame of {len} bytes is too large"
+            )));
+        }
+        let Some(body) = data.get(used + 4..used + 4 + len) else {
+            break;
+        };
+        bodies.push(Bytes::copy_from_slice(body));
+        used += 4 + len;
     }
-    let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_BODY {
-        return Err(RpcError::Decode(format!(
-            "frame of {len} bytes is too large"
-        )));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let body = Bytes::from(buf[4..4 + len].to_vec());
-    buf.drain(..4 + len);
-    Ok(Some(body))
+    Ok(used)
 }
 
 /// Writes a whole frame to a possibly non-blocking socket, waiting for
-/// writability whenever the send buffer fills, serialised by `lock` so
-/// concurrent repliers never interleave partial frames.
-fn write_frame_blocking(stream: &TcpStream, lock: &Mutex<()>, frame: &[u8]) -> Result<()> {
-    let _guard = lock.lock();
+/// writability whenever the send buffer fills, for at most
+/// [`WRITE_STALL_LIMIT`] in total.  The caller holds the connection's write
+/// lock, so concurrent senders never interleave partial frames.  After an
+/// error part of the frame may be on the wire: nothing may follow it.
+fn write_frame(stream: &TcpStream, frame: &[u8]) -> Result<()> {
     let mut written = 0;
+    let mut deadline = None;
     let mut stream_ref = stream;
     while written < frame.len() {
         match stream_ref.write(&frame[written..]) {
             Ok(0) => return Err(RpcError::Io("connection closed mid-write".into())),
             Ok(n) => written += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                epoll::wait_writable(stream.as_raw_fd(), Some(Duration::from_secs(5)))?;
+                let deadline = *deadline.get_or_insert_with(|| Instant::now() + WRITE_STALL_LIMIT);
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || !epoll::wait_writable(stream.as_raw_fd(), Some(left))? {
+                    return Err(RpcError::Timeout);
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
@@ -211,7 +135,16 @@ fn write_frame_blocking(stream: &TcpStream, lock: &Mutex<()>, frame: &[u8]) -> R
 
 const LISTENER_TOKEN: u64 = 0;
 
-/// One accepted connection, shared between the reactor (reads), the workers
+/// Hard ceiling on live pool threads per server.  When every one is busy,
+/// the leader queues request frames and keeps leading instead of handing
+/// leadership on — spawning yet more threads for a service that is already
+/// saturated only adds scheduler pressure.
+const MAX_WORKERS: usize = 512;
+
+/// How long a parked follower waits for work before it retires.
+const IDLE_RETIREMENT: Duration = Duration::from_secs(2);
+
+/// One accepted connection, shared between the leader (reads), the threads
 /// replying on it, and any handler holding it as a [`CallbackChannel`].
 ///
 /// All outbound traffic — replies *and* callback pushes — leaves through the
@@ -220,7 +153,7 @@ const LISTENER_TOKEN: u64 = 0;
 struct ServerConn {
     stream: TcpStream,
     write_lock: Mutex<()>,
-    /// The reactor token: unique among this server's live connections, which
+    /// The poller token: unique among this server's live connections, which
     /// makes it the natural grant-table key.
     peer_key: u64,
     /// Tickets for callback pushes, echoed back by the client's acks.
@@ -234,12 +167,20 @@ struct ServerConn {
 impl ServerConn {
     /// The single outbound frame path: every reply and every callback goes
     /// through here, taking the connection's write lock so concurrent
-    /// senders never interleave partial frames.
+    /// senders never interleave partial frames.  A failed write closes the
+    /// connection.
     fn send_frame(&self, frame: &[u8]) -> Result<()> {
+        let _guard = self.write_lock.lock();
+        // Checked under the lock: a writer that gave up mid-frame closed
+        // the connection before releasing it.
         if self.closed.load(Ordering::SeqCst) {
             return Err(RpcError::Dropped);
         }
-        write_frame_blocking(&self.stream, &self.write_lock, frame)
+        let sent = write_frame(&self.stream, frame);
+        if sent.is_err() {
+            self.close();
+        }
+        sent
     }
 
     /// Records a callback ack from the peer and wakes waiters.
@@ -248,10 +189,15 @@ impl ServerConn {
         self.ack_ready.notify_all();
     }
 
-    /// Marks the connection dead: pushes start failing and every
+    /// Marks the connection dead and shuts its socket down: pushes start
+    /// failing, the peer sees the end of the stream, and every
     /// [`CallbackChannel::wait_acked`] parked on it returns.
     fn close(&self) {
+        // Under the acks lock, so a waiter cannot miss the wake-up between
+        // its check of `closed` and its wait.
+        let _acks = self.acks.lock();
         self.closed.store(true, Ordering::SeqCst);
+        let _ = self.stream.shutdown(Shutdown::Both);
         self.ack_ready.notify_all();
     }
 }
@@ -293,16 +239,336 @@ impl CallbackChannel for ServerConn {
     }
 }
 
-/// Reactor-private per-connection state.
+/// A request frame read off a connection, waiting for a thread to serve it.
+struct Inbound {
+    body: Bytes,
+    conn: Arc<ServerConn>,
+}
+
+/// Leader-private per-connection state.
 struct ConnState {
     conn: Arc<ServerConn>,
+    /// The bytes of a frame not yet wholly read.
     read_buf: Vec<u8>,
+}
+
+impl ConnState {
+    /// Reads what the connection has available, recording callback acks
+    /// and appending request frames to `inbound`.  Returns
+    /// `false` when the connection is finished (EOF, error, or an
+    /// unframeable byte stream).
+    fn pump(&mut self, scratch: &mut [u8], inbound: &mut VecDeque<Inbound>) -> bool {
+        let mut bodies = Vec::new();
+        loop {
+            let n = match (&self.conn.stream).read(scratch) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
+                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return false,
+            };
+            // Every whole frame is sliced out, and the buffer is compacted
+            // once per read: only a partial frame is kept.
+            self.read_buf.extend_from_slice(&scratch[..n]);
+            match split_frames(&self.read_buf, &mut bodies) {
+                Ok(used) => drop(self.read_buf.drain(..used)),
+                Err(_) => return false,
+            }
+            for body in bodies.drain(..) {
+                if is_callback_frame(&body) {
+                    // A callback ack from the peer: recorded here (a set
+                    // insert) so the committing writer parked on it wakes.
+                    match decode_mux_callback_ack(body) {
+                        Ok(ticket) => self.conn.record_ack(ticket),
+                        Err(_) => return false,
+                    }
+                } else {
+                    inbound.push_back(Inbound {
+                        body,
+                        conn: Arc::clone(&self.conn),
+                    });
+                }
+            }
+            if n < scratch.len() {
+                // Drained, most likely; the poller is level-triggered, so
+                // anything left is reported again on the next turn.
+                return true;
+            }
+        }
+    }
+}
+
+/// What the leader owns: the poller, the listener and every live
+/// connection.  Exactly one thread holds it at a time.
+struct Reactor {
+    listener: TcpListener,
+    poller: epoll::Poller,
+    conns: HashMap<u64, ConnState>,
+    next_token: u64,
+    events: Vec<epoll::Event>,
+    scratch: Vec<u8>,
+}
+
+impl Reactor {
+    /// Waits for readiness once, then accepts, reads and records acks,
+    /// appending the request frames read to `inbound`.  Returns `false` if
+    /// the poller failed.
+    fn turn(&mut self, inbound: &mut VecDeque<Inbound>) -> bool {
+        let Reactor {
+            listener,
+            poller,
+            conns,
+            next_token,
+            events,
+            scratch,
+        } = self;
+        // The timeout doubles as the shutdown poll interval.
+        if poller
+            .wait(events, Some(Duration::from_millis(50)))
+            .is_err()
+        {
+            return false;
+        }
+        for event in events.iter() {
+            if event.token == LISTENER_TOKEN {
+                Self::accept_all(listener, poller, conns, next_token);
+            } else if let Some(state) = conns.get_mut(&event.token) {
+                if !state.pump(scratch, inbound) {
+                    poller.delete(state.conn.stream.as_raw_fd()).ok();
+                    // Closing the channel wakes lease managers parked on
+                    // acks and lets grant tables drop this peer's leases —
+                    // a dead connection holds no leases.
+                    state.conn.close();
+                    conns.remove(&event.token);
+                }
+            }
+        }
+        true
+    }
+
+    /// Drains the accept queue (level-triggered, but cheap to loop).
+    fn accept_all(
+        listener: &TcpListener,
+        poller: &epoll::Poller,
+        conns: &mut HashMap<u64, ConnState>,
+        next_token: &mut u64,
+    ) {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    stream.set_nodelay(true).ok();
+                    let token = *next_token;
+                    *next_token += 1;
+                    if poller
+                        .add(stream.as_raw_fd(), token, epoll::READABLE)
+                        .is_ok()
+                    {
+                        conns.insert(
+                            token,
+                            ConnState {
+                                conn: Arc::new(ServerConn {
+                                    stream,
+                                    write_lock: Mutex::new(()),
+                                    peer_key: token,
+                                    next_ticket: AtomicU64::new(1),
+                                    closed: AtomicBool::new(false),
+                                    acks: Mutex::new(std::collections::HashSet::new()),
+                                    ack_ready: Condvar::new(),
+                                }),
+                                read_buf: Vec::new(),
+                            },
+                        );
+                    }
+                }
+                Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+
+    /// Closes the listener and every connection: every surviving channel
+    /// dies with its connection.
+    fn close(self) {
+        for state in self.conns.values() {
+            state.conn.close();
+        }
+    }
+}
+
+/// The pool's bookkeeping, under one lock.
+struct Pool {
+    /// The reactor while no thread leads; `None` while a leader holds it.
+    reactor: Option<Reactor>,
+    /// Request frames read but not yet taken by a thread.
+    queue: VecDeque<Inbound>,
+    /// Followers parked waiting for work.
+    idle: usize,
+    /// Work offered to parked followers by a wake-up and not yet taken by
+    /// any thread: that many of the `idle` followers are spoken for.
+    wakes: usize,
+    /// Pool threads alive, the leader included.
+    live: usize,
+    /// Set once the reactor is closed.
+    stopped: bool,
 }
 
 struct ServerShared {
     handlers: RwLock<HashMap<Port, Arc<dyn RequestHandler>>>,
-    pool: Arc<WorkerPool>,
     shutdown: AtomicBool,
+    pool: Mutex<Pool>,
+    /// Wakes parked followers: for leadership, a queued frame, or shutdown.
+    work: Condvar,
+    /// Signalled once the reactor is closed.
+    stopped: Condvar,
+}
+
+impl ServerShared {
+    /// Starts one more pool thread, already counted in `Pool::live`.
+    fn spawn_thread(self: &Arc<Self>) -> std::io::Result<()> {
+        let shared = Arc::clone(self);
+        std::thread::Builder::new()
+            .name("tcp-server".into())
+            .spawn(move || pool_thread(shared))
+            .map(drop)
+    }
+
+    /// Gives the reactor up and returns the first of `inbound` for the
+    /// caller to serve, queueing the rest.  One parked follower — or a new
+    /// thread — is woken to lead, and one more for each queued frame.  When
+    /// no thread can take over (none is parked and the pool is full), queues
+    /// every frame and hands the reactor back: the caller keeps leading.
+    /// After shutdown has begun the reactor is handed back too, so the
+    /// caller closes it: pool threads no longer take it from the pool.
+    fn hand_off(
+        self: &Arc<Self>,
+        reactor: Reactor,
+        inbound: &mut VecDeque<Inbound>,
+    ) -> std::result::Result<Inbound, Reactor> {
+        let mut pool = self.pool.lock();
+        // Read under the pool lock, which `TcpServer::shutdown` takes after
+        // raising the flag: either the flag is seen here, or the reactor is
+        // back in the pool by the time shutdown looks for it.
+        if self.shutdown.load(Ordering::SeqCst) {
+            return Err(reactor);
+        }
+        let wanted = inbound.len();
+        let woken = pool.idle.saturating_sub(pool.wakes).min(wanted);
+        let spawned = (wanted - woken).min(MAX_WORKERS.saturating_sub(pool.live));
+        if woken + spawned == 0 {
+            pool.queue.extend(inbound.drain(..));
+            return Err(reactor);
+        }
+        let own = inbound.pop_front().expect("the leader read a frame");
+        pool.queue.extend(inbound.drain(..));
+        pool.reactor = Some(reactor);
+        pool.wakes += woken;
+        pool.live += spawned;
+        drop(pool);
+        for _ in 0..woken {
+            self.work.notify_one();
+        }
+        for _ in 0..spawned {
+            if self.spawn_thread().is_err() {
+                // This thread takes the reactor back after its own frame.
+                self.pool.lock().live -= 1;
+            }
+        }
+        Ok(own)
+    }
+
+    /// Closes the reactor and tells [`TcpServer::shutdown`].
+    fn stop(&self, pool: &mut Pool, reactor: Reactor) {
+        reactor.close();
+        pool.stopped = true;
+        self.stopped.notify_all();
+    }
+}
+
+/// A pool thread.  As a follower it takes the reactor when no thread leads,
+/// else a queued frame, else parks; it retires after [`IDLE_RETIREMENT`]
+/// without work, and exits on shutdown.
+fn pool_thread(shared: Arc<ServerShared>) {
+    let mut pool = shared.pool.lock();
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if let Some(reactor) = pool.reactor.take() {
+            pool.wakes = pool.wakes.saturating_sub(1);
+            drop(pool);
+            let own = lead(&shared, reactor);
+            if let Some(inbound) = own {
+                serve(&shared, inbound);
+            }
+            pool = shared.pool.lock();
+            continue;
+        }
+        if let Some(inbound) = pool.queue.pop_front() {
+            pool.wakes = pool.wakes.saturating_sub(1);
+            drop(pool);
+            serve(&shared, inbound);
+            pool = shared.pool.lock();
+            continue;
+        }
+        pool.idle += 1;
+        let timed_out = shared.work.wait_for(&mut pool, IDLE_RETIREMENT);
+        pool.idle -= 1;
+        if timed_out && pool.reactor.is_none() && pool.queue.is_empty() {
+            break;
+        }
+    }
+    pool.live -= 1;
+}
+
+/// Leads until a turn of the reactor reads request frames and another
+/// thread can take the reactor over, then returns the first frame for the
+/// caller to serve.  Returns `None` once the reactor is closed (shutdown,
+/// or a failed poller).
+fn lead(shared: &Arc<ServerShared>, mut reactor: Reactor) -> Option<Inbound> {
+    let mut inbound = VecDeque::new();
+    loop {
+        if shared.shutdown.load(Ordering::SeqCst) || !reactor.turn(&mut inbound) {
+            shared.stop(&mut shared.pool.lock(), reactor);
+            return None;
+        }
+        if inbound.is_empty() {
+            continue;
+        }
+        match shared.hand_off(reactor, &mut inbound) {
+            Ok(own) => return Some(own),
+            Err(kept) => reactor = kept,
+        }
+    }
+}
+
+/// Serves one request frame: decode, run the handler for its port with the
+/// originating connection attached as a callback channel, write the
+/// id-tagged reply back through the connection's one outbound frame path.
+fn serve(shared: &ServerShared, Inbound { body, conn }: Inbound) {
+    let (id, port, request) = match decode_mux_request(body) {
+        Ok(parts) => parts,
+        // Without an id there is nothing to tag a reply with; the
+        // client's deadline reports the loss.
+        Err(_) => return,
+    };
+    let handler = shared.handlers.read().get(&port).cloned();
+    let reply = match handler {
+        Some(h) => {
+            let channel: Arc<dyn CallbackChannel> = Arc::clone(&conn) as _;
+            h.handle_from(request, Some(&channel))
+        }
+        None => Reply::error(Bytes::from_static(b"no such port")),
+    };
+    let frame = match encode_mux_reply(id, &reply) {
+        Ok(frame) => frame,
+        Err(_) => match encode_mux_reply(id, &Reply::error(Bytes::from_static(b"reply too large")))
+        {
+            Ok(frame) => frame,
+            Err(_) => return,
+        },
+    };
+    let _ = conn.send_frame(&frame);
 }
 
 /// A server hosting one or more Amoeba service ports on a TCP socket,
@@ -310,35 +576,45 @@ struct ServerShared {
 pub struct TcpServer {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    reactor: Option<std::thread::JoinHandle<()>>,
 }
 
 impl TcpServer {
     /// Binds to `addr` (use port 0 for an ephemeral port) and starts the
-    /// reactor on a background thread.
+    /// first pool thread, which leads.
     pub fn bind(addr: &str) -> Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let shared = Arc::new(ServerShared {
-            handlers: RwLock::new(HashMap::new()),
-            pool: WorkerPool::new(),
-            shutdown: AtomicBool::new(false),
-        });
-
         let poller = epoll::Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, epoll::READABLE)?;
 
-        let reactor_shared = Arc::clone(&shared);
-        let reactor = std::thread::spawn(move || {
-            reactor_loop(listener, poller, reactor_shared);
+        let shared = Arc::new(ServerShared {
+            handlers: RwLock::new(HashMap::new()),
+            shutdown: AtomicBool::new(false),
+            pool: Mutex::new(Pool {
+                reactor: Some(Reactor {
+                    listener,
+                    poller,
+                    conns: HashMap::new(),
+                    next_token: LISTENER_TOKEN + 1,
+                    events: Vec::new(),
+                    scratch: vec![0; 64 * 1024],
+                }),
+                queue: VecDeque::new(),
+                idle: 0,
+                wakes: 0,
+                live: 1,
+                stopped: false,
+            }),
+            work: Condvar::new(),
+            stopped: Condvar::new(),
         });
+        shared.spawn_thread()?;
 
         Ok(TcpServer {
             addr: local,
             shared,
-            reactor: Some(reactor),
         })
     }
 
@@ -352,14 +628,22 @@ impl TcpServer {
         self.shared.handlers.write().insert(port, handler);
     }
 
-    /// Stops the reactor and the worker pool.  Established connections are
-    /// closed; in-flight handlers finish but their replies may be lost.
+    /// Stops the server: returns once the listener and every connection are
+    /// closed.  Parked threads exit; in-flight handlers finish, but their
+    /// replies are lost.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
+        let shared = &self.shared;
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let mut pool = shared.pool.lock();
+        // With no leader the reactor is in the pool: close it here.
+        if let Some(reactor) = pool.reactor.take() {
+            shared.stop(&mut pool, reactor);
         }
-        self.shared.pool.shutdown();
+        while !pool.stopped {
+            shared.stopped.wait(&mut pool);
+        }
+        drop(pool);
+        shared.work.notify_all();
     }
 }
 
@@ -367,145 +651,6 @@ impl Drop for TcpServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn reactor_loop(listener: TcpListener, poller: epoll::Poller, shared: Arc<ServerShared>) {
-    let mut conns: HashMap<u64, ConnState> = HashMap::new();
-    let mut next_token: u64 = LISTENER_TOKEN + 1;
-    let mut events: Vec<epoll::Event> = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
-
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // The timeout doubles as the shutdown poll interval.
-        if poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .is_err()
-        {
-            break;
-        }
-        for event in &events {
-            if event.token == LISTENER_TOKEN {
-                // Drain the accept queue (level-triggered, but cheap to loop).
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            stream.set_nodelay(true).ok();
-                            let token = next_token;
-                            next_token += 1;
-                            if poller
-                                .add(stream.as_raw_fd(), token, epoll::READABLE)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token,
-                                    ConnState {
-                                        conn: Arc::new(ServerConn {
-                                            stream,
-                                            write_lock: Mutex::new(()),
-                                            peer_key: token,
-                                            next_ticket: AtomicU64::new(1),
-                                            closed: AtomicBool::new(false),
-                                            acks: Mutex::new(std::collections::HashSet::new()),
-                                            ack_ready: Condvar::new(),
-                                        }),
-                                        read_buf: Vec::new(),
-                                    },
-                                );
-                            }
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-            } else if let Some(state) = conns.get_mut(&event.token) {
-                if !pump_connection(state, &mut scratch, &shared) {
-                    let fd = state.conn.stream.as_raw_fd();
-                    poller.delete(fd).ok();
-                    // Closing the channel wakes lease managers parked on
-                    // acks and lets grant tables drop this peer's leases —
-                    // a dead connection holds no leases.
-                    state.conn.close();
-                    conns.remove(&event.token);
-                }
-            }
-        }
-    }
-    // Reactor exit: every surviving channel dies with its connection.
-    for state in conns.values() {
-        state.conn.close();
-    }
-}
-
-/// Reads everything currently available on the connection, dispatching each
-/// complete frame to the worker pool.  Returns `false` when the connection
-/// is finished (EOF, error, or an unframeable byte stream).
-fn pump_connection(state: &mut ConnState, scratch: &mut [u8], shared: &Arc<ServerShared>) -> bool {
-    loop {
-        match (&state.conn.stream).read(scratch) {
-            Ok(0) => return false,
-            Ok(n) => {
-                state.read_buf.extend_from_slice(&scratch[..n]);
-                loop {
-                    match extract_frame(&mut state.read_buf) {
-                        Ok(Some(body)) if is_callback_frame(&body) => {
-                            // A callback ack from the peer: record it on the
-                            // reactor thread (a set insert — no service work)
-                            // so the committing writer parked on it wakes.
-                            match decode_mux_callback_ack(body) {
-                                Ok(ticket) => state.conn.record_ack(ticket),
-                                Err(_) => return false,
-                            }
-                        }
-                        Ok(Some(body)) => dispatch_request(body, &state.conn, shared),
-                        Ok(None) => break,
-                        Err(_) => return false,
-                    }
-                }
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,
-            Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Hands one request frame to the worker pool: decode, run the handler for
-/// its port with the originating connection attached as a callback channel,
-/// write the id-tagged reply back through the connection's one outbound
-/// frame path.
-fn dispatch_request(body: Bytes, conn: &Arc<ServerConn>, shared: &Arc<ServerShared>) {
-    let conn = Arc::clone(conn);
-    let shared_for_job = Arc::clone(shared);
-    shared.pool.execute(Box::new(move || {
-        let (id, port, request) = match decode_mux_request(body) {
-            Ok(parts) => parts,
-            // Without an id there is nothing to tag a reply with; the
-            // client's deadline reports the loss.
-            Err(_) => return,
-        };
-        let handler = shared_for_job.handlers.read().get(&port).cloned();
-        let reply = match handler {
-            Some(h) => {
-                let channel: Arc<dyn CallbackChannel> = Arc::clone(&conn) as _;
-                h.handle_from(request, Some(&channel))
-            }
-            None => Reply::error(Bytes::from_static(b"no such port")),
-        };
-        let frame = match encode_mux_reply(id, &reply) {
-            Ok(frame) => frame,
-            Err(_) => {
-                match encode_mux_reply(id, &Reply::error(Bytes::from_static(b"reply too large"))) {
-                    Ok(frame) => frame,
-                    Err(_) => return,
-                }
-            }
-        };
-        let _ = conn.send_frame(&frame);
-    }));
 }
 
 // ---------------------------------------------------------------------------
@@ -522,6 +667,12 @@ struct ClientConn {
 }
 
 impl ClientConn {
+    /// Writes one whole frame under the connection's write lock.
+    fn send(&self, frame: &[u8]) -> Result<()> {
+        let _guard = self.write_lock.lock();
+        write_frame(&self.stream, frame)
+    }
+
     /// Marks the connection unusable and fails everything in flight.
     fn kill(&self, err: &RpcError) {
         self.dead.store(true, Ordering::SeqCst);
@@ -689,7 +840,7 @@ fn reader_loop(mut stream: TcpStream, conn: Arc<ClientConn>, sinks: SinkList) {
                         sink.on_callback(port, payload.clone());
                     }
                     let ack = encode_mux_callback_ack(ticket);
-                    if write_frame_blocking(&conn.stream, &conn.write_lock, &ack).is_err() {
+                    if conn.send(&ack).is_err() {
                         // Can't ack on a dying connection; the server's
                         // wait falls back to the grant's own expiry.
                         break RpcError::Dropped;
@@ -723,7 +874,7 @@ impl Transport for TcpClient {
         let conn = self.get_conn()?;
         let id = conn.mux.allocate();
         let frame = encode_mux_request(id, port, &request)?;
-        if write_frame_blocking(&conn.stream, &conn.write_lock, &frame).is_err() {
+        if conn.send(&frame).is_err() {
             // The write path failed: the connection is gone, and whether any
             // bytes reached the server is unknowable — poison it and report
             // the ambiguous outcome.
@@ -1020,5 +1171,229 @@ mod tests {
         }
         assert!(ok, "client never recovered after server restart");
         assert_eq!(client.reconnects(), 1);
+    }
+
+    /// Shutting down while clients keep requests coming returns: whichever
+    /// thread holds the reactor when shutdown begins closes it, even if its
+    /// last turn read request frames.
+    #[test]
+    fn shutdown_under_live_traffic_returns() {
+        for _ in 0..20 {
+            let mut server = TcpServer::bind("127.0.0.1:0").unwrap();
+            let port = Port::from_raw(21);
+            server.register(port, Arc::new(|req: Request| Reply::ok(req.payload)));
+            let client = TcpClient::new(server.local_addr()).with_timeout(Duration::from_secs(1));
+            let running = Arc::new(AtomicBool::new(true));
+            let senders: Vec<_> = (0..4)
+                .map(|_| {
+                    let client = client.clone();
+                    let running = Arc::clone(&running);
+                    std::thread::spawn(move || {
+                        while running.load(Ordering::SeqCst) {
+                            let request = Request::new(0, Capability::null(), Bytes::new());
+                            if client.transact(port, request).is_err() {
+                                break;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(10));
+            let (done, returned) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                server.shutdown();
+                done.send(()).ok();
+            });
+            let outcome = returned.recv_timeout(Duration::from_secs(5));
+            running.store(false, Ordering::SeqCst);
+            assert!(outcome.is_ok(), "shutdown under traffic never returned");
+            for sender in senders {
+                sender.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn frames_are_split_out_whole_and_a_partial_tail_is_left() {
+        let mut data = Vec::new();
+        for body in [&b"one"[..], b"", b"three"] {
+            data.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            data.extend_from_slice(body);
+        }
+        data.extend_from_slice(&9u32.to_le_bytes());
+        data.extend_from_slice(b"part");
+        let mut bodies = Vec::new();
+        assert_eq!(split_frames(&data, &mut bodies).unwrap(), data.len() - 8);
+        assert_eq!(
+            bodies,
+            vec![
+                Bytes::from_static(b"one"),
+                Bytes::new(),
+                Bytes::from_static(b"three")
+            ]
+        );
+        let impossible = ((MAX_FRAME_BODY + 1) as u32).to_le_bytes();
+        assert!(split_frames(&impossible, &mut bodies).is_err());
+    }
+
+    /// Waits on `changed` until `ready` holds of the guarded state; false
+    /// after ten seconds.
+    fn wait_until<T>(state: &Mutex<T>, changed: &Condvar, ready: impl Fn(&T) -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut guard = state.lock();
+        while !ready(&guard) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            changed.wait_for(&mut guard, left);
+        }
+        true
+    }
+
+    /// Handlers of op 1 park until a handler of op 2 opens the gate.
+    #[derive(Default)]
+    struct Gate {
+        /// (handlers parked, gate open)
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl RequestHandler for Gate {
+        fn handle(&self, req: Request) -> Reply {
+            if req.op == 1 {
+                self.state.lock().0 += 1;
+                self.changed.notify_all();
+                wait_until(&self.state, &self.changed, |state| state.1);
+            } else {
+                self.state.lock().1 = true;
+                self.changed.notify_all();
+            }
+            Reply::ok(req.payload)
+        }
+    }
+
+    /// Every request of one connection but the last parks in its handler
+    /// until the last one releases them: some thread must still be reading
+    /// the connection while all the others are parked.
+    #[test]
+    fn handlers_parked_on_a_connection_are_released_by_a_later_request_on_it() {
+        const PARKED: usize = 4;
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let port = Port::from_raw(17);
+        let gate = Arc::new(Gate::default());
+        server.register(port, Arc::clone(&gate) as _);
+        let client = TcpClient::new(server.local_addr()).with_connections(1);
+        std::thread::scope(|scope| {
+            let parked: Vec<_> = (0..PARKED as u8)
+                .map(|rank| {
+                    let client = client.clone();
+                    scope.spawn(move || {
+                        client.transact(
+                            port,
+                            Request::new(1, Capability::null(), Bytes::from(vec![rank])),
+                        )
+                    })
+                })
+                .collect();
+            assert!(
+                wait_until(&gate.state, &gate.changed, |state| state.0 == PARKED),
+                "the parked requests never all reached their handlers"
+            );
+            client
+                .transact(port, Request::new(2, Capability::null(), Bytes::new()))
+                .expect("the releasing request is read while the others are parked");
+            for (rank, handle) in parked.into_iter().enumerate() {
+                let reply = handle.join().unwrap().unwrap();
+                assert_eq!(reply.payload, Bytes::from(vec![rank as u8]));
+            }
+        });
+    }
+
+    /// Op 1 answers with a full-size reply and remembers its connection;
+    /// any other op echoes.
+    #[derive(Default)]
+    struct BigReplies {
+        /// (op-1 requests handled, the connection they came on)
+        state: Mutex<(usize, Option<Arc<dyn CallbackChannel>>)>,
+        changed: Condvar,
+    }
+
+    impl RequestHandler for BigReplies {
+        fn handle(&self, req: Request) -> Reply {
+            Reply::ok(req.payload)
+        }
+        fn handle_from(&self, req: Request, peer: Option<&Arc<dyn CallbackChannel>>) -> Reply {
+            if req.op != 1 {
+                return Reply::ok(req.payload);
+            }
+            {
+                let mut state = self.state.lock();
+                state.0 += 1;
+                state.1 = peer.cloned();
+            }
+            self.changed.notify_all();
+            Reply::ok(Bytes::from(vec![7u8; crate::MAX_PAYLOAD]))
+        }
+    }
+
+    /// A raw peer pipelines far more reply bytes than the socket buffers
+    /// hold and never reads.  Another client is still served while the
+    /// replies are stuck, and once the stall limit passes the stalled
+    /// connection is closed after its last whole frame.
+    #[test]
+    fn a_peer_that_stops_reading_is_cut_off_while_others_are_served() {
+        const REQUESTS: u64 = 256;
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let port = Port::from_raw(19);
+        let handler = Arc::new(BigReplies::default());
+        server.register(port, Arc::clone(&handler) as _);
+
+        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+        let mut pipelined = Vec::new();
+        for id in 1..=REQUESTS {
+            let request = Request::new(1, Capability::null(), Bytes::new());
+            pipelined.extend_from_slice(&encode_mux_request(id, port, &request).unwrap());
+        }
+        raw.write_all(&pipelined).unwrap();
+        assert!(wait_until(&handler.state, &handler.changed, |state| {
+            state.0 == REQUESTS as usize
+        }));
+        let stalled = handler.state.lock().1.clone().expect("op 1 saw its peer");
+
+        let client = TcpClient::new(server.local_addr()).with_timeout(Duration::from_secs(2));
+        let reply = client
+            .transact(
+                port,
+                Request::new(0, Capability::null(), Bytes::from_static(b"served")),
+            )
+            .expect("a stalled peer must not hold up other clients");
+        assert_eq!(reply.payload, Bytes::from_static(b"served"));
+        assert!(!stalled.is_closed(), "closed before the stall limit");
+
+        let deadline = Instant::now() + 3 * WRITE_STALL_LIMIT;
+        while !stalled.is_closed() {
+            assert!(
+                Instant::now() < deadline,
+                "the stalled connection stayed open"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        // What reached the peer is whole replies, then at most one partial
+        // frame, then the end of the stream.
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut received = Vec::new();
+        match raw.read_to_end(&mut received) {
+            Ok(_) => {}
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset),
+        }
+        let mut bodies = Vec::new();
+        let used = split_frames(&received, &mut bodies).unwrap();
+        assert!(received.len() - used < 4 + MAX_FRAME_BODY);
+        assert!((bodies.len() as u64) < REQUESTS, "nothing was stuck");
+        for body in bodies {
+            let (_, reply) = decode_mux_reply(body).unwrap();
+            assert_eq!(reply.payload.len(), crate::MAX_PAYLOAD);
+        }
     }
 }

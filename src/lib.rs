@@ -20,8 +20,8 @@
 //! * [`amoeba_rpc`] — transaction-style RPC: the generic multiplexing
 //!   [`amoeba_rpc::MuxClient`] (request-id tagged frames, out-of-order replies,
 //!   per-request deadlines, backoff-driven failover) over pluggable
-//!   [`amoeba_rpc::Transport`]s — in-process [`amoeba_rpc::LocalNetwork`] and a
-//!   readiness-driven TCP reactor ([`amoeba_rpc::tcp`]),
+//!   [`amoeba_rpc::Transport`]s — in-process [`amoeba_rpc::LocalNetwork`] and
+//!   real TCP ([`amoeba_rpc::tcp`]),
 //! * [`afs_dir`] — the **directory service**: a capability-named hierarchy
 //!   whose directories are ordinary files of the file service, every mutation
 //!   an OCC transaction ([`afs_dir::DirStore`]; served over RPC by
@@ -98,11 +98,12 @@
 //! jittered-backoff failover sweep across server ports; the wrappers only
 //! encode operations and pick a [`amoeba_rpc::FailoverPolicy`] per call
 //! (idempotent reads retry anywhere, mutations never blind-retry).  The TCP
-//! transport ([`amoeba_rpc::tcp`]) runs a readiness-driven reactor —
-//! non-blocking sockets polled through the vendored epoll shim, one reactor
-//! thread per client multiplexing all connections — and the server pipelines
-//! requests per connection through a bounded worker pool, so slow calls do
-//! not convoy fast ones.  Because [`amoeba_rpc::LocalNetwork`] implements the
+//! transport ([`amoeba_rpc::tcp`]) serves with a leader/follower thread
+//! pool: one thread at a time polls the non-blocking sockets through the
+//! vendored epoll shim, and a thread that reads a request hands the polling
+//! to a follower and runs the request itself, so slow calls do not convoy
+//! fast ones.  Each client connection has one blocking reader thread that
+//! completes whichever waiter a reply names.  Because [`amoeba_rpc::LocalNetwork`] implements the
 //! same [`amoeba_rpc::Transport`] trait, every test and experiment runs
 //! unchanged in-process or over real sockets, and uniform
 //! [`amoeba_rpc::ClientStats`] (retry rounds, reconnects, in-flight
