@@ -8,8 +8,10 @@
 //!   accessed by user B without A's permission".
 //! * **A simple locking facility** — the file service's commit critical section is
 //!   "lock and read a block, examine and modify it, then write and unlock the block".
-//!   [`BlockServer::update_block`] packages exactly that sequence; it is the
-//!   test-and-set primitive on which version commit (§5.2) is built.
+//!   [`BlockServer::update_block`] packages exactly that sequence.
+//!   [`BlockServer::with_lock`] is the lock alone, for a client that keeps the
+//!   block's contents itself: the file service runs version commit's
+//!   test-and-set (§5.2) under it on its cached copy of the page.
 //! * **Recovery** — given an account, [`BlockServer::recover`] returns the list of
 //!   blocks owned by that account so a file server can rebuild its file system from
 //!   the redundancy information it keeps inside its pages.
@@ -370,35 +372,30 @@ impl BlockServer {
         nr: BlockNr,
         f: impl FnOnce(Bytes) -> Result<(Option<Bytes>, R)>,
     ) -> Result<R> {
-        self.update_block_with::<R, BlockError>(cap, nr, f)
+        self.with_lock(cap, nr, || {
+            let (new_contents, value) = f(self.store.read(nr)?)?;
+            if let Some(data) = new_contents {
+                self.store.write(nr, data)?;
+            }
+            Ok(value)
+        })
     }
 
-    /// [`BlockServer::update_block`] with a caller-chosen error type.
-    ///
-    /// Layers above the block service (the file service's page I/O, for one) run
-    /// closures inside the critical section that can fail with their *own* error
-    /// type.  Making the error generic lets those errors pass through typed — any
-    /// `E: From<BlockError>` absorbs the block-level failures, and the closure's
-    /// failures come back exactly as raised, instead of being flattened into an
-    /// [`BlockError::Io`] message string and lossily reparsed on the way out.
-    pub fn update_block_with<R, E: From<BlockError>>(
+    /// Runs `f` holding the per-block lock of `nr`, and releases the lock
+    /// whatever `f` returns.  The lock alone, without the read and write of
+    /// [`BlockServer::update_block`]: for a client that keeps the block's
+    /// contents itself and does its own I/O inside the critical section.
+    pub fn with_lock<R, E: From<BlockError>>(
         &self,
         cap: &Capability,
         nr: BlockNr,
-        f: impl FnOnce(Bytes) -> std::result::Result<(Option<Bytes>, R), E>,
+        f: impl FnOnce() -> std::result::Result<R, E>,
     ) -> std::result::Result<R, E> {
         self.lock(cap, nr).map_err(E::from)?;
-        let result = (|| {
-            let current = self.store.read(nr).map_err(E::from)?;
-            let (new_contents, value) = f(current)?;
-            if let Some(data) = new_contents {
-                self.store.write(nr, data).map_err(E::from)?;
-            }
-            Ok(value)
-        })();
-        // Always release the lock, even if reading, the closure or writing failed.
-        // Ownership is not checked: the block may have been freed while it was
-        // locked, and its number must not stay locked for whoever it is reissued to.
+        let result = f();
+        // Always release the lock, even if `f` failed.  Ownership is not
+        // checked: the block may have been freed while it was locked, and its
+        // number must not stay locked for whoever it is reissued to.
         let _ = self.release(nr);
         result
     }
@@ -662,6 +659,25 @@ mod tests {
             server.update_block(&alice, nr, |_| Err(BlockError::Io("closure failed".into())));
         assert!(result.is_err());
         assert!(!server.is_locked(nr));
+    }
+
+    #[test]
+    fn with_lock_holds_the_block_lock_and_releases_it_on_error() {
+        let (server, alice) = server();
+        let nr = server.allocate(&alice).unwrap();
+        let held = server
+            .with_lock::<_, BlockError>(&alice, nr, || Ok(server.is_locked(nr)))
+            .unwrap();
+        assert!(held);
+        assert!(!server.is_locked(nr));
+        let result: Result<()> =
+            server.with_lock(&alice, nr, || Err(BlockError::Io("closure failed".into())));
+        assert!(result.is_err());
+        assert!(!server.is_locked(nr));
+        // The lock checks ownership like `lock` does.
+        let bob = server.create_account();
+        let denied: Result<()> = server.with_lock(&bob, nr, || Ok(()));
+        assert_eq!(denied, Err(BlockError::PermissionDenied));
     }
 
     #[test]

@@ -92,29 +92,34 @@ impl FileService {
         if cached_version_block == NOTHING_CACHED {
             return Ok(stale(file.lock().newest()));
         }
-        let (current_block, retained) = {
+        let current_block = {
             let mut meta = file.lock();
             let current = self.current_version_block_locked(&mut meta)?;
-            (current, meta.retains(cached_version_block))
+            if current == cached_version_block {
+                return Ok(CacheValidation {
+                    up_to_date: true,
+                    current_block: current,
+                    discard: Vec::new(),
+                });
+            }
+            // A cached block this file no longer retains — retired, never one of
+            // its versions, or reissued since to another file's version page — is
+            // not an error: the whole entry is stale, and discarding the root
+            // invalidates every cached page under `CacheValidation::keeps`.
+            if !meta.retains(cached_version_block) {
+                return Ok(stale(current));
+            }
+            // Pinned, so no concurrent commit retires the versions the walk
+            // below reads: retirement stops at the oldest pinned version.
+            meta.pin(cached_version_block);
+            current
         };
-        if current_block == cached_version_block {
-            return Ok(CacheValidation {
-                up_to_date: true,
-                current_block,
-                discard: Vec::new(),
-            });
-        }
-        // A cached block this file no longer retains — retired, never one of its
-        // versions, or reissued since to another file's version page — is not an
-        // error: the whole entry is stale, and discarding the root invalidates
-        // every cached page under `CacheValidation::keeps`.
-        if !retained {
-            return Ok(stale(current_block));
-        }
+        let discard = self.changed_paths_between(cached_version_block, current_block);
+        self.release_pin(&file, cached_version_block);
         Ok(CacheValidation {
             up_to_date: false,
             current_block,
-            discard: self.changed_paths_between(cached_version_block, current_block)?,
+            discard: discard?,
         })
     }
 }

@@ -270,7 +270,8 @@ impl FileService {
     /// The critical section: atomically test the commit reference of the version page
     /// at `base_block` and set it to `new_block` if it is nil.  Returns `None` on
     /// success, or the existing successor's block number if the base has already been
-    /// superseded.
+    /// superseded.  A superseded version holds no lock that means anything, so
+    /// the success drops the small-file top lock on the base.
     pub(crate) fn try_set_commit_reference(
         &self,
         base_block: BlockNr,
@@ -283,6 +284,7 @@ impl FileService {
                 .ok_or_else(|| FsError::CorruptPage("expected version page".into()))?;
             match header.commit_reference {
                 None => {
+                    self.soft_locks.lock().remove(&base_block);
                     // Only the successful set pays for a private page copy;
                     // the failed test returns without cloning anything.
                     page.version

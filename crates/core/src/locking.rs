@@ -8,7 +8,11 @@
 //! * Creating a version of a **small file** only requires the *inner* lock to be
 //!   clear (so an enclosing super-file update excludes it), but still sets the top
 //!   lock — which other updates may treat as a *hint* (the soft-locking scheme) that
-//!   the file is about to change.
+//!   the file is about to change.  Being a hint, it lives in the file service's
+//!   memory only (`FileService::soft_locks`, keyed by the version page it locks)
+//!   and is never written to a page: it costs no block write, no crash recovery
+//!   reads it, and a service rebuilt from storage starts with none.  Every lock
+//!   test reads the page's field and, where that is clear, the memory.
 //! * A super-file update sets *inner locks* on the version blocks of the sub-files it
 //!   visits, giving it exclusive access to exactly the subtrees it touches while
 //!   leaving all other small files fully concurrent.
@@ -18,14 +22,15 @@
 //! reference is still nil the crashed update never committed, so the locks can simply
 //! be cleared; if it is set, the new current version is traversed and the sub-files'
 //! commit references are set, *finishing the crashed server's work* — after which the
-//! locks are irrelevant because they live in superseded version pages.
+//! locks are irrelevant because they live in superseded version pages.  That is
+//! why super-file top locks and all inner locks stay durable.
 
 use std::time::{Duration, Instant};
 
 use amoeba_block::BlockNr;
 use amoeba_capability::{Capability, Port, Rights};
 
-use crate::page::Page;
+use crate::page::{Page, VersionHeader};
 use crate::service::{FileService, VersionState};
 use crate::types::{FileId, FsError, Result};
 use crate::version::{LockAttempt, VersionOptions};
@@ -68,7 +73,8 @@ impl FileService {
 
     /// One atomic attempt to take the creation lock on the current version block:
     /// test the lock fields and set the top lock in a single block-level critical
-    /// section.
+    /// section.  A super-file's top lock is written to the page; a small file's
+    /// is set in memory and the page is not written.
     pub(crate) fn try_acquire_creation_lock(
         &self,
         current_block: BlockNr,
@@ -79,7 +85,7 @@ impl FileService {
         self.pages.update_page(current_block, |page| {
             let header = page
                 .version
-                .as_mut()
+                .as_ref()
                 .ok_or_else(|| FsError::CorruptPage("expected version page".into()))?;
             if header.commit_reference.is_some() {
                 return Ok((false, LockAttempt::NoLongerCurrent));
@@ -91,13 +97,33 @@ impl FileService {
             }
             // The top lock blocks super-file updates always, and small-file updates
             // only when they opt into the soft-locking scheme.
+            let top_lock = self.top_lock_of(current_block, header);
             let top_blocks = is_super || options.respect_top_lock;
-            if top_blocks && !header.top_lock.is_null() && header.top_lock != lock_port {
-                return Ok((false, LockAttempt::Blocked(header.top_lock)));
+            if top_blocks && !top_lock.is_null() && top_lock != lock_port {
+                return Ok((false, LockAttempt::Blocked(top_lock)));
             }
-            header.top_lock = lock_port;
-            Ok((true, LockAttempt::Acquired))
+            if is_super {
+                page.version.as_mut().expect("checked above").top_lock = lock_port;
+                Ok((true, LockAttempt::Acquired))
+            } else {
+                self.soft_locks.lock().insert(current_block, lock_port);
+                Ok((false, LockAttempt::Acquired))
+            }
         })
+    }
+
+    /// The top lock on the version page at `block`, whose header is `header`:
+    /// the page's durable field, or where that is clear the small-file top
+    /// lock held in memory.
+    fn top_lock_of(&self, block: BlockNr, header: &VersionHeader) -> Port {
+        if !header.top_lock.is_null() {
+            return header.top_lock;
+        }
+        self.soft_locks
+            .lock()
+            .get(&block)
+            .copied()
+            .unwrap_or(Port::NULL)
     }
 
     /// Waits for the lock on `block` held by `holder` to clear, running the §5.3
@@ -114,7 +140,7 @@ impl FileService {
             // The lock may have been released, the version superseded, or taken over
             // by someone else; any of these means the caller should re-evaluate.
             if header.commit_reference.is_some()
-                || (header.top_lock != holder && header.inner_lock != holder)
+                || (self.top_lock_of(block, &header) != holder && header.inner_lock != holder)
             {
                 return Ok(());
             }
@@ -130,18 +156,19 @@ impl FileService {
         }
     }
 
-    /// Clears the top lock on `block` if it is held by this service's port or by a
-    /// crashed port.  Used when an update is abandoned (aborted version).
+    /// Clears the top lock on `block`, durable or in memory, whoever holds it.
+    /// Used when an update is abandoned (aborted version).
     pub(crate) fn clear_top_lock_if_held(&self, block: BlockNr) -> Result<()> {
         self.pages.update_page(block, |page| {
+            self.soft_locks.lock().remove(&block);
             let header = page
                 .version
-                .as_mut()
+                .as_ref()
                 .ok_or_else(|| FsError::CorruptPage("expected version page".into()))?;
             if header.top_lock.is_null() {
                 Ok((false, ()))
             } else {
-                header.top_lock = Port::NULL;
+                page.version.as_mut().expect("checked above").top_lock = Port::NULL;
                 Ok((true, ()))
             }
         })
@@ -164,13 +191,18 @@ impl FileService {
     pub fn recover_locked_version(&self, block: BlockNr) -> Result<LockRecoveryReport> {
         let mut report = LockRecoveryReport::default();
         let (page, header) = self.read_version_page_at(block)?;
-        let holder = header.top_lock;
+        let holder = self.top_lock_of(block, &header);
 
         match header.commit_reference {
             None => {
                 // Crashed before committing: clear the top lock …
                 if !holder.is_null() {
                     self.pages.update_page(block, |p| {
+                        let mut soft_locks = self.soft_locks.lock();
+                        if soft_locks.get(&block) == Some(&holder) {
+                            soft_locks.remove(&block);
+                        }
+                        drop(soft_locks);
                         let h = p
                             .version
                             .as_mut()
@@ -298,7 +330,7 @@ impl FileService {
         report: &mut LockRecoveryReport,
     ) -> Result<()> {
         for reference in &super_page.refs {
-            let child = match self.pages.read_page_uncached(reference.block) {
+            let child = match self.pages.read_page(reference.block) {
                 Ok(child) => child,
                 Err(_) => continue,
             };
@@ -541,12 +573,17 @@ impl FileService {
         })
     }
 
-    /// Returns the current lock fields of a file's current version page (for tests and
-    /// the experiment harness).
+    /// Returns the top and inner locks of a file's current version page (for tests
+    /// and the experiment harness), a small file's top lock included.  The page
+    /// is pinned while it is read, so a concurrent commit cannot retire it.
     pub fn lock_state(&self, file_cap: &Capability) -> Result<(Port, Port)> {
-        let block = self.current_version_block(file_cap)?;
-        let (_, header) = self.read_version_page_at(block)?;
-        Ok((header.top_lock, header.inner_lock))
+        let file = self.resolve_file(file_cap, Rights::READ)?;
+        let block = self.pin_current(&file)?;
+        let state = self
+            .read_version_page_at(block)
+            .map(|(_, header)| (self.top_lock_of(block, &header), header.inner_lock));
+        self.release_pin(&file, block);
+        state
     }
 
     /// Returns true if a set top lock suggests the file is about to change (the soft
@@ -853,6 +890,130 @@ mod tests {
                 .unwrap_err(),
             FsError::WrongFileKind
         );
+    }
+
+    /// A service whose lock waiters never give up on a live holder, so a
+    /// waiter that proceeds saw the holder commit or abort.
+    fn patient_service() -> std::sync::Arc<FileService> {
+        FileService::with_config(
+            std::sync::Arc::new(amoeba_block::BlockServer::new(std::sync::Arc::new(
+                amoeba_block::MemStore::new(),
+            ))),
+            crate::service::ServiceConfig {
+                lock_patience: Duration::from_secs(600),
+                ..Default::default()
+            },
+        )
+    }
+
+    fn soft(port: u64, wait_for_locks: bool) -> VersionOptions {
+        VersionOptions {
+            respect_top_lock: true,
+            wait_for_locks,
+            lock_port: Some(Port::from_raw(port)),
+        }
+    }
+
+    #[test]
+    fn a_small_file_top_lock_is_reported_but_never_written() {
+        let service = FileService::in_memory();
+        let file = service.create_file().unwrap();
+        let v = service.create_version(&file).unwrap();
+        service
+            .write_page(&v, &PagePath::root(), Bytes::from_static(b"content"))
+            .unwrap();
+        service.commit(&v).unwrap();
+        let block = service.current_version_block(&file).unwrap();
+        let stored = || {
+            service
+                .block_server()
+                .read(&service.storage_account(), block)
+                .unwrap()
+        };
+        let before = stored();
+        let writes = service.block_server().stats().write_calls;
+
+        let _v = service
+            .create_version_with(&file, soft(0x111, true))
+            .unwrap();
+        assert_eq!(stored(), before, "the stored page is unchanged");
+        assert_eq!(service.block_server().stats().write_calls, writes);
+        assert_eq!(
+            service.lock_state(&file).unwrap(),
+            (Port::from_raw(0x111), Port::NULL)
+        );
+        assert!(service.is_soft_locked(&file).unwrap());
+    }
+
+    #[test]
+    fn a_soft_lock_holds_off_respecting_creators_until_its_holder_commits_or_aborts() {
+        let service = patient_service();
+        let file = service.create_file().unwrap();
+        let meta = service.resolve_file(&file, Rights::READ).unwrap();
+        for finish_by_commit in [true, false] {
+            let holder = service
+                .create_version_with(&file, soft(0x111, true))
+                .unwrap();
+            assert_eq!(
+                service
+                    .create_version_with(&file, soft(0x222, false))
+                    .unwrap_err(),
+                FsError::WouldBlock
+            );
+            let locked = service.current_version_block(&file).unwrap();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| service.create_version_with(&file, soft(0x222, true)));
+                // The holder's version pins the locked page once; the waiter,
+                // trying or waiting on it, makes two.
+                let start = Instant::now();
+                while meta.lock().pins.get(&locked) != Some(&2) {
+                    assert!(start.elapsed() < Duration::from_secs(5), "no waiter pin");
+                    std::thread::yield_now();
+                }
+                assert!(!waiter.is_finished(), "the waiter must wait for the holder");
+                if finish_by_commit {
+                    service.commit(&holder).unwrap();
+                } else {
+                    service.abort_version(&holder).unwrap();
+                }
+                let waited = waiter.join().unwrap().expect("the waiter proceeds");
+                assert_eq!(service.lock_state(&file).unwrap().0, Port::from_raw(0x222));
+                service.abort_version(&waited).unwrap();
+            });
+            assert!(!service.is_soft_locked(&file).unwrap());
+        }
+    }
+
+    #[test]
+    fn no_small_file_top_lock_survives_recovery() {
+        let block_server = std::sync::Arc::new(amoeba_block::BlockServer::new(
+            std::sync::Arc::new(amoeba_block::MemStore::new()),
+        ));
+        let service = FileService::new(std::sync::Arc::clone(&block_server));
+        let account = service.storage_account();
+        let file = service.create_file().unwrap();
+        let v = service.create_version(&file).unwrap();
+        service
+            .write_page(&v, &PagePath::root(), Bytes::from_static(b"durable"))
+            .unwrap();
+        service.commit(&v).unwrap();
+        // An update holds the top lock when the service crashes.
+        let _in_flight = service
+            .create_version_with(&file, soft(0x111, true))
+            .unwrap();
+        drop(service);
+
+        let (recovered, report) = FileService::recover_from_storage(
+            block_server,
+            account,
+            crate::service::ServiceConfig::default(),
+        )
+        .unwrap();
+        let file = report.files[0];
+        let v = recovered
+            .create_version_with(&file, soft(0x222, false))
+            .expect("no top lock survives the crash");
+        recovered.commit(&v).unwrap();
     }
 
     fn assert_clean(service: &FileService) {

@@ -25,6 +25,16 @@
 //!   reference table — and independent shards keep concurrent commit/validation
 //!   scans from serialising on a single lock.
 //!
+//!   **One writer per shard.**  A shard of the service has exactly one
+//!   `FileService`, and every page it stores goes through this `PageIo`, so
+//!   the cache is *authoritative* for what it holds: version pages, the commit
+//!   critical section of [`PageIo::update_page`] included, are served from
+//!   memory, and the store is read only on a miss.  What keeps that true is
+//!   one order: every write stores a page before it installs it, and a read
+//!   that misses fills the cache only if no page was installed in its shard
+//!   since the miss (the per-shard install count), so a reply that left the
+//!   store before a write can never land in the cache after it.
+//!
 //! * **I/O counters**, so the benchmarks report physical disk traffic rather than
 //!   wall-clock time alone.  `page_writes` counts *physical* writes only: a k-write
 //!   update to one page costs 0 physical writes until commit, then O(dirty pages)
@@ -113,6 +123,10 @@ struct PageCache {
 
 struct CacheShard {
     capacity: usize,
+    /// Pages installed or removed by writers (not by fills) since creation.  A
+    /// read that misses notes it and fills only if it has not moved, so a page
+    /// read before a concurrent write never lands in the cache after it.
+    installs: u64,
     /// Block → (page, last-use stamp).
     map: HashMap<BlockNr, (Arc<Page>, u64)>,
     /// Lazily maintained LRU queue of (block, stamp) pairs.  Entries whose stamp no
@@ -174,6 +188,7 @@ impl PageCache {
                 .map(|_| {
                     Mutex::new(CacheShard {
                         capacity: per_shard,
+                        installs: 0,
                         map: HashMap::new(),
                         queue: VecDeque::new(),
                         tick: 0,
@@ -189,26 +204,45 @@ impl PageCache {
         &self.shards[(h >> 32) as usize % CACHE_SHARDS]
     }
 
-    fn get(&self, nr: BlockNr) -> Option<Arc<Page>> {
-        self.shard(nr).lock().touch(nr)
-    }
-
-    fn insert(&self, nr: BlockNr, page: &Arc<Page>) {
-        self.shard(nr).lock().insert(nr, Arc::clone(page));
-    }
-
-    /// Caches a page just read from disk, unless a concurrent update installed
-    /// a newer copy while the read was in flight.
-    fn fill(&self, nr: BlockNr, page: &Arc<Page>) {
+    fn lookup(&self, nr: BlockNr) -> Lookup {
         let mut shard = self.shard(nr).lock();
-        if !shard.map.contains_key(&nr) {
+        match shard.touch(nr) {
+            Some(page) => Lookup::Hit(page),
+            None => Lookup::Miss(shard.installs),
+        }
+    }
+
+    /// Installs a page a writer has just stored.
+    fn insert(&self, nr: BlockNr, page: &Arc<Page>) {
+        let mut shard = self.shard(nr).lock();
+        shard.installs += 1;
+        shard.insert(nr, Arc::clone(page));
+    }
+
+    /// Caches a page read from the store after a [`Lookup::Miss`] that saw
+    /// `installs`, unless a writer installed or removed a page in the shard
+    /// since.  Writers store before they install, so an unmoved count means no
+    /// write to the block completed after the read began; a moved one may mean
+    /// the read returned the old page.
+    fn fill(&self, nr: BlockNr, page: &Arc<Page>, installs: u64) {
+        let mut shard = self.shard(nr).lock();
+        if shard.installs == installs && !shard.map.contains_key(&nr) {
             shard.insert(nr, Arc::clone(page));
         }
     }
 
     fn remove(&self, nr: BlockNr) {
-        self.shard(nr).lock().remove(nr);
+        let mut shard = self.shard(nr).lock();
+        shard.installs += 1;
+        shard.remove(nr);
     }
+}
+
+/// The outcome of a clean-cache lookup.
+enum Lookup {
+    Hit(Arc<Page>),
+    /// Missed; carries the shard's install count for [`PageCache::fill`].
+    Miss(u64),
 }
 
 /// The write-back buffer: dirty pages of uncommitted versions, keyed by the block
@@ -260,31 +294,20 @@ impl Overlay {
 /// that merely examines the page — the common "test" half of test-and-set,
 /// which returns `(false, …)` — therefore costs no page copy at all.
 pub struct PageMut<'a> {
-    /// The shared original; `None` when the view was constructed over an owned
-    /// page (the disk path, where the decoded page is already private).
-    base: Option<&'a Page>,
+    /// The shared original.
+    base: &'a Page,
     /// The private copy, made lazily on first mutable access.
     copy: Option<Page>,
 }
 
 impl<'a> PageMut<'a> {
     fn shared(base: &'a Page) -> PageMut<'a> {
-        PageMut {
-            base: Some(base),
-            copy: None,
-        }
-    }
-
-    fn owned(page: Page) -> PageMut<'static> {
-        PageMut {
-            base: None,
-            copy: Some(page),
-        }
+        PageMut { base, copy: None }
     }
 
     /// The page to write back, if the closure asked for one: the private copy
-    /// when the page was touched mutably, `None` when a shared page was only
-    /// read (nothing changed, so there is nothing to write).
+    /// when the page was touched mutably, `None` when it was only read
+    /// (nothing changed, so there is nothing to write).
     fn into_written(self) -> Option<Page> {
         self.copy
     }
@@ -293,23 +316,13 @@ impl<'a> PageMut<'a> {
 impl std::ops::Deref for PageMut<'_> {
     type Target = Page;
     fn deref(&self) -> &Page {
-        self.copy
-            .as_ref()
-            .or(self.base)
-            .expect("PageMut holds a base or a copy")
+        self.copy.as_ref().unwrap_or(self.base)
     }
 }
 
 impl std::ops::DerefMut for PageMut<'_> {
     fn deref_mut(&mut self) -> &mut Page {
-        if self.copy.is_none() {
-            self.copy = Some(
-                self.base
-                    .expect("PageMut without a copy holds a base")
-                    .clone(),
-            );
-        }
-        self.copy.as_mut().expect("copy just ensured")
+        self.copy.get_or_insert_with(|| self.base.clone())
     }
 }
 
@@ -396,10 +409,18 @@ impl PageIo {
         Ok(nr)
     }
 
-    /// Writes `page` into the existing block `nr`, physically and immediately.
+    /// Writes `page` into the existing block `nr`, physically and immediately:
+    /// the store first, then the cache.
     pub fn write_page(&self, nr: BlockNr, page: &Arc<Page>) -> Result<()> {
         let encoded = page.encode()?;
-        self.server.write(&self.account, nr, encoded)?;
+        if let Err(e) = self.server.write(&self.account, nr, encoded) {
+            // The write may have reached part of the store: the cached copy is
+            // no longer known to match it.
+            if let Some(cache) = &self.cache {
+                cache.remove(nr);
+            }
+            return Err(e.into());
+        }
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.write_calls.fetch_add(1, Ordering::Relaxed);
         // Disk is now authoritative again for this block.
@@ -509,37 +530,31 @@ impl PageIo {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(page);
         }
-        if let Some(cache) = &self.cache {
-            if let Some(page) = cache.get(nr) {
+        self.read_clean(nr)
+    }
+
+    /// Reads a block that is not buffered: from the clean cache, or from the
+    /// store, filling the cache.
+    fn read_clean(&self, nr: BlockNr) -> Result<Arc<Page>> {
+        let installs = match self.cache.as_ref().map(|cache| cache.lookup(nr)) {
+            Some(Lookup::Hit(page)) => {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(page);
             }
-        }
+            Some(Lookup::Miss(installs)) => installs,
+            None => 0,
+        };
         let raw = self.server.read(&self.account, nr)?;
         self.reads.fetch_add(1, Ordering::Relaxed);
         let page = Arc::new(Page::decode(raw)?);
         if let Some(cache) = &self.cache {
-            cache.fill(nr, &page);
+            cache.fill(nr, &page, installs);
         }
         Ok(page)
     }
 
-    /// Reads a page bypassing the clean cache.  Used by the commit critical section
-    /// and the chain walks, which must see the on-disk truth for committed pages.
-    /// The write-back buffer is still consulted: for a buffered block the buffer
-    /// *is* the truth (its disk contents do not exist yet).
-    pub fn read_page_uncached(&self, nr: BlockNr) -> Result<Arc<Page>> {
-        if let Some(page) = self.overlay.get(nr) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(page);
-        }
-        let raw = self.server.read(&self.account, nr)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(Page::decode(raw)?))
-    }
-
     // ------------------------------------------------------------------
-    // Free and invalidate.
+    // Free.
     // ------------------------------------------------------------------
 
     /// Frees the block holding a page, dropping any buffered or cached copy.
@@ -555,23 +570,20 @@ impl PageIo {
         Ok(())
     }
 
-    /// Invalidates one cache entry (used after another server may have changed the
-    /// block underneath us, e.g. a commit reference written by a companion manager).
-    pub fn invalidate(&self, nr: BlockNr) {
-        if let Some(cache) = &self.cache {
-            cache.remove(nr);
-        }
-    }
-
-    /// The commit critical section: lock block `nr`, give the closure a
-    /// [`PageMut`] view of the decoded page, optionally write back the page it
-    /// mutated, unlock.  Mirrors [`BlockServer::update_block`] at page
-    /// granularity; closure errors pass through typed via
-    /// [`BlockServer::update_block_with`].
+    /// The commit critical section: take the block lock of `nr`, give the
+    /// closure a [`PageMut`] view of the page, store the page it mutated, and
+    /// release the lock.  Mirrors [`BlockServer::update_block`] at page
+    /// granularity, with the page kept here rather than re-read.
     ///
     /// The view clones the page only on the closure's first mutable access, so
     /// the read-only `(false, …)` outcome — a failed test-and-set, an
     /// already-clear lock field — costs no page copy.
+    ///
+    /// A shard has one file service, and it is the only writer of its pages,
+    /// so the clean cache is authoritative for the pages it holds: the view
+    /// is the cached page, and the store is read only on a miss.  Under the
+    /// lock a written page goes to the store first and to the cache second,
+    /// so the cache never holds a page the store has not acknowledged.
     ///
     /// For a block that lives in the write-back buffer the update is applied to the
     /// buffered copy under the buffer lock instead: such blocks belong to exactly
@@ -598,47 +610,17 @@ impl PageIo {
                 }
                 return Ok(value);
             }
-            // Raced with a flush: fall through to the disk path below.
+            // Raced with a flush: fall through to the stored page below.
         }
-        let mut installed = false;
-        let result: Result<(R, bool)> = self.server.update_block_with(&self.account, nr, |raw| {
-            let page = Page::decode(raw)?;
-            // The decoded page is already private, so the view starts
-            // owned: mutable access costs nothing extra.
-            let mut view = PageMut::owned(page);
+        self.server.with_lock(&self.account, nr, || {
+            let page = self.read_clean(nr)?;
+            let mut view = PageMut::shared(&page);
             let (write_back, value) = f(&mut view)?;
-            if write_back {
-                let written = Arc::new(view.into_written().expect("owned view keeps its page"));
-                let encoded = written.encode()?;
-                // Install the new page while the block lock is still held, so
-                // two updates of one block reach the cache in the order they
-                // reach the disk.  Installed after the unlock, the earlier
-                // update could land last and leave a stale page cached.
-                if let Some(cache) = &self.cache {
-                    cache.insert(nr, &written);
-                    installed = true;
-                }
-                Ok((Some(encoded), (value, true)))
-            } else {
-                Ok((None, (value, false)))
+            if let (true, Some(written)) = (write_back, view.into_written()) {
+                self.write_page(nr, &Arc::new(written))?;
             }
-        });
-        let (value, written) = match result {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // The physical write may have failed after the page was installed.
-                if let (true, Some(cache)) = (installed, &self.cache) {
-                    cache.remove(nr);
-                }
-                return Err(e);
-            }
-        };
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        if written {
-            self.writes.fetch_add(1, Ordering::Relaxed);
-            self.write_calls.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(value)
+            Ok(value)
+        })
     }
 }
 
@@ -655,8 +637,9 @@ impl std::fmt::Debug for PageIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amoeba_block::MemStore;
+    use amoeba_block::{BlockStore, MemStore};
     use bytes::Bytes;
+    use std::sync::mpsc;
 
     fn page_io(cache: Option<usize>) -> PageIo {
         let server = Arc::new(BlockServer::new(Arc::new(MemStore::new())));
@@ -666,6 +649,11 @@ mod tests {
 
     fn leaf(data: &'static [u8]) -> Arc<Page> {
         Arc::new(Page::leaf(Bytes::from_static(data)))
+    }
+
+    /// The page the store holds at `nr`, past the buffer and the cache.
+    fn on_disk(io: &PageIo, nr: BlockNr) -> Page {
+        Page::decode(io.server.read(&io.account, nr).unwrap()).unwrap()
     }
 
     #[test]
@@ -738,10 +726,8 @@ mod tests {
         assert!(io.is_buffered(nr));
         // Reads see the buffered contents.
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from(vec![9u8]));
-        assert_eq!(
-            io.read_page_uncached(nr).unwrap().data,
-            Bytes::from(vec![9u8])
-        );
+        // …and the store holds nothing yet.
+        assert!(io.server.read(&io.account, nr).unwrap().is_empty());
 
         let flushed = io.flush_blocks_batched([nr]).unwrap();
         assert_eq!(flushed, 1);
@@ -750,10 +736,7 @@ mod tests {
         assert_eq!(total.pages_flushed_at_commit, 1);
         assert!(!io.is_buffered(nr));
         // The flushed contents are now on disk.
-        assert_eq!(
-            io.read_page_uncached(nr).unwrap().data,
-            Bytes::from(vec![9u8])
-        );
+        assert_eq!(on_disk(&io, nr).data, Bytes::from(vec![9u8]));
     }
 
     #[test]
@@ -774,10 +757,7 @@ mod tests {
         assert_eq!(delta.pages_flushed_at_commit, 6);
         for (i, nr) in blocks.iter().enumerate() {
             assert!(!io.is_buffered(*nr));
-            assert_eq!(
-                io.read_page_uncached(*nr).unwrap().data,
-                Bytes::from(vec![i as u8])
-            );
+            assert_eq!(on_disk(&io, *nr).data, Bytes::from(vec![i as u8]));
         }
         // Flushing blocks with no buffered contents is a no-call no-op.
         let before = io.stats();
@@ -840,7 +820,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let final_page = io.read_page_uncached(nr).unwrap();
+        let final_page = on_disk(&io, nr);
         assert_eq!(
             u64::from_le_bytes(final_page.data[..8].try_into().unwrap()),
             400
@@ -872,6 +852,130 @@ mod tests {
         assert_eq!(delta.page_reads, 0);
         assert_eq!(delta.page_writes, 0);
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"after"));
+    }
+
+    #[test]
+    fn update_page_of_a_cached_page_reads_nothing_and_stores_what_it_writes() {
+        let io = page_io(Some(16));
+        let nr = io.allocate_page(&leaf(b"v1")).unwrap();
+        let before = io.stats();
+        let seen = io
+            .update_page(nr, |page| {
+                let seen = page.data.clone();
+                page.set_data(Bytes::from_static(b"v2")).unwrap();
+                Ok((true, seen))
+            })
+            .unwrap();
+        assert_eq!(seen, Bytes::from_static(b"v1"));
+        let delta = io.stats().since(&before);
+        assert_eq!((delta.page_reads, delta.page_writes), (0, 1));
+        assert_eq!(on_disk(&io, nr).data, Bytes::from_static(b"v2"));
+        assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"v2"));
+        // Without a cache every update reads the store.
+        let io = page_io(None);
+        let nr = io.allocate_page(&leaf(b"v1")).unwrap();
+        let before = io.stats();
+        io.update_page(nr, |_| Ok((false, ()))).unwrap();
+        assert_eq!(io.stats().since(&before).page_reads, 1);
+    }
+
+    /// The block whose next read parks, how the read says it got there, and
+    /// what lets it go.
+    type Trap = (BlockNr, mpsc::Sender<()>, mpsc::Receiver<()>);
+
+    /// A store whose read of one chosen block parks after it has read the
+    /// block, until the test lets it go: a reply in flight.
+    struct ParkingStore {
+        inner: MemStore,
+        trap: Mutex<Option<Trap>>,
+    }
+
+    impl BlockStore for ParkingStore {
+        fn block_size(&self) -> usize {
+            self.inner.block_size()
+        }
+        fn allocate(&self) -> amoeba_block::Result<BlockNr> {
+            self.inner.allocate()
+        }
+        fn allocate_at(&self, nr: BlockNr) -> amoeba_block::Result<()> {
+            self.inner.allocate_at(nr)
+        }
+        fn free(&self, nr: BlockNr) -> amoeba_block::Result<()> {
+            self.inner.free(nr)
+        }
+        fn read(&self, nr: BlockNr) -> amoeba_block::Result<Bytes> {
+            let data = self.inner.read(nr);
+            let sprung = {
+                let mut trap = self.trap.lock();
+                match &*trap {
+                    Some((block, _, _)) if *block == nr => trap.take(),
+                    _ => None,
+                }
+            };
+            if let Some((_, reached, go)) = sprung {
+                reached.send(()).unwrap();
+                go.recv().unwrap();
+            }
+            data
+        }
+        fn write(&self, nr: BlockNr, data: Bytes) -> amoeba_block::Result<()> {
+            self.inner.write(nr, data)
+        }
+        fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> amoeba_block::Result<()> {
+            self.inner.write_batch(writes)
+        }
+        fn is_allocated(&self, nr: BlockNr) -> bool {
+            self.inner.is_allocated(nr)
+        }
+        fn allocated_count(&self) -> usize {
+            self.inner.allocated_count()
+        }
+        fn stats(&self) -> amoeba_block::StoreStats {
+            self.inner.stats()
+        }
+        fn allocated_blocks(&self) -> Vec<BlockNr> {
+            self.inner.allocated_blocks()
+        }
+    }
+
+    #[test]
+    fn a_read_in_flight_across_an_update_and_an_eviction_caches_nothing_stale() {
+        let store = Arc::new(ParkingStore {
+            inner: MemStore::new(),
+            trap: Mutex::new(None),
+        });
+        let server = Arc::new(BlockServer::new(Arc::clone(&store) as Arc<dyn BlockStore>));
+        let account = server.create_account();
+        // One page per cache shard: one install into a shard evicts its page.
+        let io = PageIo::with_cache(Arc::clone(&server), account, Some(1));
+        let cache = io.cache.as_ref().unwrap();
+        // Stored behind the cache, so the first read misses.
+        let nr = server
+            .allocate_and_write(&account, leaf(b"old").encode().unwrap())
+            .unwrap();
+        let (reached_tx, reached) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel();
+        *store.trap.lock() = Some((nr, reached_tx, go_rx));
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| io.read_page(nr).unwrap());
+            // The reader holds the old page; its reply is in flight.
+            reached.recv().unwrap();
+            io.update_page(nr, |page| {
+                page.set_data(Bytes::from_static(b"new")).unwrap();
+                Ok((true, ()))
+            })
+            .unwrap();
+            // Evict the updated page: install another into its shard.
+            while !std::ptr::eq(
+                cache.shard(io.allocate_page(&leaf(b"other")).unwrap()),
+                cache.shard(nr),
+            ) {}
+            assert!(!cache.shard(nr).lock().map.contains_key(&nr));
+            go.send(()).unwrap();
+            assert_eq!(reader.join().unwrap().data, Bytes::from_static(b"old"));
+        });
+        // The late reply must not have been cached over the update.
+        assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"new"));
     }
 
     #[test]

@@ -285,25 +285,6 @@ impl FileService {
         Ok(report)
     }
 
-    /// Constructs a bare service around an existing page store (used by recovery).
-    pub(crate) fn from_parts(pages: PageIo, config: ServiceConfig) -> FileService {
-        use parking_lot::{Mutex, RwLock};
-        use std::sync::atomic::AtomicU64;
-        let port = amoeba_capability::Port::random();
-        FileService {
-            pages,
-            minter: Mutex::new(amoeba_capability::Minter::new(port)),
-            files: RwLock::new(HashMap::new()),
-            versions: RwLock::new(HashMap::new()),
-            block_index: RwLock::new(HashMap::new()),
-            next_object: AtomicU64::new(1),
-            config,
-            port,
-            crashed_ports: RwLock::new(HashSet::new()),
-            commit_stats: crate::service::CommitStats::default(),
-        }
-    }
-
     /// Exposes the block-service account this service stores its pages under, so a
     /// recovery harness can hand it to [`FileService::recover_from_storage`].
     pub fn storage_account(&self) -> Capability {

@@ -250,6 +250,12 @@ pub struct FileService {
     pub(crate) crashed_ports: RwLock<HashSet<Port>>,
     /// Commit-path statistics.
     pub(crate) commit_stats: CommitStats,
+    /// The top locks of small files, by the version page they lock.  §5.3 makes
+    /// a small file's top lock a *hint* (the soft-locking scheme) that no crash
+    /// recovery reads, so it lives here and is never written to a page; see
+    /// [`locking`](crate::locking).  Taken under a page's block lock, never the
+    /// other way round.
+    pub(crate) soft_locks: Mutex<HashMap<BlockNr, Port>>,
 }
 
 impl std::fmt::Debug for FileService {
@@ -306,9 +312,14 @@ impl FileService {
             "object-id offset must be a residue of the stride"
         );
         let account = block_server.create_account();
-        let port = Port::random();
         let pages = PageIo::with_cache(block_server, account, config.flag_cache_capacity);
-        Arc::new(FileService {
+        Arc::new(Self::from_parts(pages, config))
+    }
+
+    /// A service with empty tables over `pages`, under a fresh port.
+    pub(crate) fn from_parts(pages: PageIo, config: ServiceConfig) -> FileService {
+        let port = Port::random();
+        FileService {
             pages,
             minter: Mutex::new(Minter::new(port)),
             files: RwLock::new(HashMap::new()),
@@ -319,7 +330,8 @@ impl FileService {
             port,
             crashed_ports: RwLock::new(HashSet::new()),
             commit_stats: CommitStats::default(),
-        })
+            soft_locks: Mutex::new(HashMap::new()),
+        }
     }
 
     /// The service port.
@@ -554,7 +566,7 @@ impl FileService {
     pub(crate) fn current_version_block_locked(&self, meta: &mut FileMeta) -> Result<BlockNr> {
         let mut block = meta.newest();
         loop {
-            let page = self.pages.read_page_uncached(block)?;
+            let page = self.pages.read_page(block)?;
             let header = page
                 .version
                 .as_ref()

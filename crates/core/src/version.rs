@@ -28,8 +28,8 @@ pub struct VersionOptions {
     /// Wait for blocking locks.  When `false`, a blocked creation fails immediately
     /// with [`FsError::WouldBlock`].
     pub wait_for_locks: bool,
-    /// Lock-holder identity to write into the top-lock field.  Defaults to the
-    /// service port; super-file updates and experiments pass their own port so crash
+    /// Lock-holder identity to set as the top lock.  Defaults to the service
+    /// port; super-file updates and experiments pass their own port so crash
     /// recovery can identify the owner.
     pub lock_port: Option<Port>,
 }
@@ -216,11 +216,13 @@ impl FileService {
     }
 
     /// Reads the version page at `block` and fails if it is not a version page.
+    /// Served from the page cache: this service is the only writer of its
+    /// version pages (see [`crate::pageio`]).
     pub(crate) fn read_version_page_at(
         &self,
         block: BlockNr,
     ) -> Result<(std::sync::Arc<Page>, VersionHeader)> {
-        let page = self.pages.read_page_uncached(block)?;
+        let page = self.pages.read_page(block)?;
         let header = page
             .version
             .clone()

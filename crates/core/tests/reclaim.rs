@@ -749,6 +749,32 @@ impl BlockStore for CrashStore {
     }
 }
 
+/// `lock_state` and the chain walk of `validate_cache` read version pages
+/// outside the file lock.  They pin what they read, so at a retention of one a
+/// commit racing them cannot retire the page under them.
+#[test]
+fn readers_outside_the_file_lock_pin_what_a_retiring_commit_would_free() {
+    let service = service_over(Arc::new(MemStore::new()), 1);
+    let (file, pages) = file_with_pages(&service, 2);
+    std::thread::scope(|scope| {
+        let committer = scope.spawn(|| {
+            for round in 0..1000 {
+                rewrite(&service, &file, &pages[round as usize % 2], round);
+            }
+        });
+        let mut cached = service.current_version_block(&file).unwrap();
+        while !committer.is_finished() {
+            let (_, inner) = service.lock_state(&file).expect("lock_state");
+            assert!(inner.is_null());
+            cached = service
+                .validate_cache(&file, cached)
+                .expect("validate_cache")
+                .current_block;
+        }
+    });
+    assert_clean(&service);
+}
+
 /// The crash sweep: an update whose commit retires a version is cut after
 /// every possible number of writes and frees, from its creation lock through
 /// its flush, its commit reference and its retirement.  Recovery must then

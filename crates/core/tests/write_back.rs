@@ -31,8 +31,6 @@ fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
     let (file, leaf) = deep_file(&service);
 
     const K: usize = 50;
-    // Version creation itself performs one physical write: the top-lock
-    // test-and-set on the shared current version page.  Measure after it.
     let v = service.create_version(&file).unwrap();
     let before = service.io_stats();
     for i in 0..K {
@@ -125,8 +123,7 @@ fn crash_before_commit_recovers_the_version_as_aborted() {
 fn aborts_drop_the_buffer_without_physical_writes() {
     let service = FileService::in_memory();
     let (file, leaf) = deep_file(&service);
-    // Creating and aborting a version each write the shared current version page
-    // once (top-lock set and clear); everything in between must cost nothing.
+    // Nothing between creating and aborting a version may touch the disk.
     let v = service.create_version(&file).unwrap();
     let before = service.io_stats();
     for i in 0..20u8 {
@@ -234,6 +231,43 @@ fn a_k_dirty_page_commit_costs_o1_block_write_calls() {
     assert!(
         calls_large <= 3,
         "a commit is 1 batch + 1 version page + 1 test-and-set, got {calls_large}"
+    );
+}
+
+#[test]
+fn a_one_page_update_of_a_warm_file_reads_no_block_and_makes_three_write_calls() {
+    let block_server = Arc::new(BlockServer::new(Arc::new(MemStore::new())));
+    let service = FileService::new(Arc::clone(&block_server));
+    let (file, leaf) = deep_file(&service);
+    // Warm, and past the retention depth, so the measured commit also retires.
+    for i in 0..10u8 {
+        let v = service.create_version(&file).unwrap();
+        service.write_page(&v, &leaf, Bytes::from(vec![i])).unwrap();
+        service.commit(&v).unwrap();
+    }
+
+    let before = block_server.stats();
+    let v = service.create_version(&file).unwrap();
+    service
+        .write_page(&v, &leaf, Bytes::from_static(b"one page"))
+        .unwrap();
+    service.commit(&v).unwrap();
+    let update = block_server.stats().since(&before);
+    assert_eq!(
+        update.reads, 0,
+        "version pages come from memory: {update:?}"
+    );
+    // The data batch, the version page, the commit reference.  The small-file
+    // top lock is held in memory, so version creation writes nothing.
+    assert_eq!(update.write_calls, 3, "{update:?}");
+    assert!(update.frees > 0, "the commit retires a version: {update:?}");
+
+    let before = block_server.stats();
+    let current = service.current_version(&file).unwrap();
+    assert_eq!(block_server.stats().since(&before).reads, 0);
+    assert_eq!(
+        service.read_committed_page(&current, &leaf).unwrap(),
+        Bytes::from_static(b"one page")
     );
 }
 
