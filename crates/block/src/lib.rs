@@ -30,7 +30,7 @@
 //! | [`delay`] | [`DelayStore`]: latency-modelling wrapper (a fixed sleep per read/write call) |
 //! | [`server`] | [`BlockServer`]: accounts, capabilities, per-block locks, recovery listing |
 //! | [`stable`] | [`StableStore`] (Lampson–Sturgis, 1 server × 2 disks) and [`CompanionPair`] (the paper's 2 server × 2 disk scheme) |
-//! | [`replica`] | [`ReplicatedBlockStore`]: N-replica sets with coordinator-owned block numbers, quorum commits, read-repair, a free lane, epoch-stamped intention recording and resync (the per-shard storage of the sharded service) |
+//! | [`replica`] | [`ReplicatedBlockStore`]: N-replica sets with coordinator-owned block numbers, quorum commits, read-repair, one operation log per set with an epoch-stamped intentions suffix per member, and resync (the per-shard storage of the sharded service) |
 //! | [`quorum`] | [`majority`]: the ack threshold (quorum-intersection invariants as pure functions) |
 //! | [`membership`] | [`Membership`]: viewstamped In/Out/Resyncing replica status with an epoch bumped on every join/leave |
 //!

@@ -28,10 +28,10 @@
 //!
 //! Epochs are strictly monotonic and every transition happens under one lock
 //! ([`Membership`] wraps the view in a mutex), so "the current epoch's replica
-//! set" is always a well-defined thing to take a majority of.  Intentions
-//! queued for an absent replica are stamped with the epoch they were queued
-//! under (see `replica.rs`), which is how resync can show *which* configuration
-//! a missed write was acknowledged in.
+//! set" is always a well-defined thing to take a majority of.  Every entry of
+//! a replica set's log is stamped with the epoch it was appended under (see
+//! `replica.rs`), which is how resync can show *which* configuration a missed
+//! write was acknowledged in.
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -45,7 +45,7 @@ pub enum ReplicaStatus {
     /// A full member: serves reads, counts towards (and must ack) quorums.
     In,
     /// Out of the set: deposed by a crash, partition or rejected write.
-    /// Writes it misses are queued as epoch-stamped intentions.
+    /// Writes it misses stay in its log suffix, its intentions list.
     Out,
     /// Replaying its intentions list; barred from quorums *and* reads until
     /// [`MembershipView::complete_resync`] readmits it under a new epoch.
@@ -164,7 +164,7 @@ impl Membership {
 
     /// Locks and returns the live view, for multi-step transitions that must
     /// be atomic with other state (the replica layer composes this with its
-    /// per-replica intention locks; lock order is membership first).
+    /// log lock; lock order is the log first).
     pub fn lock(&self) -> MutexGuard<'_, MembershipView> {
         self.view.lock()
     }

@@ -69,13 +69,15 @@
 //! page strictly last — so a k-page commit costs a constant number of physical
 //! write calls, and over remote block servers one `WriteBlocks` RPC per replica
 //! ([`amoeba_rpc::block`], `afs_server::RemoteBlockStore`).  *Availability*
-//! comes from the replica set, which streams every put through per-replica
-//! FIFO workers and acknowledges once a **majority of the current membership
-//! epoch** has durably applied it ([`amoeba_block::majority`] of the members,
-//! so one slow or partitioned replica never gates commit latency).  Membership
-//! is epoch-managed ([`amoeba_block::Membership`]): a failed or partitioned replica is deposed
-//! (epoch bump), its missed writes are queued as sequence-stamped intentions,
-//! and [`amoeba_block::ReplicatedBlockStore::resync`] replays them before the
+//! comes from the replica set, which appends every put to one operation log
+//! that each replica applies in order, and acknowledges once a **majority of
+//! the current membership epoch** has durably applied it
+//! ([`amoeba_block::majority`] of the members, so one slow or partitioned
+//! replica never gates commit latency).  Membership is epoch-managed
+//! ([`amoeba_block::Membership`]): a failed or partitioned replica is deposed
+//! (epoch bump), the suffix of the log it has not applied is its
+//! epoch-stamped intentions list, and
+//! [`amoeba_block::ReplicatedBlockStore::resync`] replays it before the
 //! replica may serve reads again — the epoch rides every `WriteBlocks` RPC so
 //! a stale coordinator is rejected by the block servers.  Reads fail over
 //! across replicas and repair stale copies they detect.  The server group
