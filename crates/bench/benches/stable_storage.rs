@@ -1,12 +1,12 @@
-//! E7: write cost of the replicated block-storage schemes of §4.
+//! E7: write cost of stable storage (§4) — a single disk vs the paper's pair,
+//! a 2-member replica set on which every write lands on both disks.
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use amoeba_block::{BlockStore, CompanionPair, MemStore, StableStore};
+use amoeba_block::{BlockStore, MemStore, ReplicatedBlockStore};
 
 fn bench_stable_storage(c: &mut Criterion) {
     let mut group = c.benchmark_group("stable_storage_write");
@@ -21,17 +21,10 @@ fn bench_stable_storage(c: &mut Criterion) {
         b.iter(|| disk.write(nr, payload.clone()).unwrap());
     });
 
-    group.bench_function("lampson_sturgis_two_disks", |b| {
-        let stable = StableStore::new(MemStore::new(), MemStore::new());
-        let nr = stable.allocate().unwrap();
-        b.iter(|| stable.write(nr, payload.clone()).unwrap());
-    });
-
-    group.bench_function("companion_pair_two_servers", |b| {
-        let pair = CompanionPair::new(Arc::new(MemStore::new()), Arc::new(MemStore::new()));
-        let handle = pair.handle(0);
-        let nr = handle.allocate_and_write(payload.clone()).unwrap();
-        b.iter(|| handle.write(nr, payload.clone()).unwrap());
+    group.bench_function("replica_set_of_two", |b| {
+        let pair = ReplicatedBlockStore::in_memory(2);
+        let nr = pair.allocate().unwrap();
+        b.iter(|| pair.write(nr, payload.clone()).unwrap());
     });
 
     group.finish();

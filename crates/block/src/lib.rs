@@ -16,7 +16,11 @@
 //!   that account, and
 //! * optionally, **stable storage**: the paper proposes a two-server variant of
 //!   Lampson & Sturgis' two-disk scheme, with collision detection for simultaneous
-//!   allocations/writes through different servers.
+//!   allocations/writes through different servers.  Here that pair is a 2-member
+//!   [`ReplicatedBlockStore`]: every write lands on both disks, the set degrades
+//!   to the survivor after a crash and resyncs the missed writes on recovery.
+//!   Collisions cannot occur, because the set's one coordinator is its only
+//!   allocator.
 //!
 //! This crate implements all of that:
 //!
@@ -29,7 +33,6 @@
 //! | [`faulty`] | [`FaultyStore`]: fault-injection wrapper (crashes, torn writes, corruption) |
 //! | [`delay`] | [`DelayStore`]: latency-modelling wrapper (a fixed sleep per read/write call) |
 //! | [`server`] | [`BlockServer`]: accounts, capabilities, per-block locks, recovery listing |
-//! | [`stable`] | [`StableStore`] (Lampson–Sturgis, 1 server × 2 disks) and [`CompanionPair`] (the paper's 2 server × 2 disk scheme) |
 //! | [`replica`] | [`ReplicatedBlockStore`]: N-replica sets with coordinator-owned block numbers, quorum commits, read-repair, one operation log per set with an epoch-stamped intentions suffix per member, and resync (the per-shard storage of the sharded service) |
 //! | [`quorum`] | [`majority`]: the ack threshold (quorum-intersection invariants as pure functions) |
 //! | [`membership`] | [`Membership`]: viewstamped In/Out/Resyncing replica status with an epoch bumped on every join/leave |
@@ -50,7 +53,6 @@ pub mod optical;
 pub mod quorum;
 pub mod replica;
 pub mod server;
-pub mod stable;
 pub mod store;
 mod types;
 
@@ -62,7 +64,6 @@ pub use optical::WriteOnceStore;
 pub use quorum::majority;
 pub use replica::{ReplicaSetStats, ReplicatedBlockStore};
 pub use server::{AccountId, BlockServer};
-pub use stable::{CompanionPair, StableStore};
 pub use store::{BlockStore, StoreStats};
 pub use types::{BlockError, BlockNr, BLOCK_NR_BITS, MAX_BLOCK_NR};
 

@@ -1,4 +1,4 @@
-//! N-way replicated block storage: the generalisation of [`crate::CompanionPair`].
+//! N-way replicated block storage: the stable storage of §4, generalised from a pair.
 //!
 //! The paper's stable storage duplicates every block on two servers so that "no
 //! single failure can destroy information".  [`ReplicatedBlockStore`] keeps that
@@ -2151,39 +2151,45 @@ mod tests {
         }
     }
 
-    /// Names the seed of a failing sweep run while its panic unwinds.
-    struct Seed(u64);
+    /// Names the member count and seed of a failing sweep run while its
+    /// panic unwinds.
+    struct Seed(usize, u64);
 
     impl Drop for Seed {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                eprintln!("replica sweep failed at seed {}", self.0);
+                eprintln!(
+                    "replica sweep of {} members failed at seed {}",
+                    self.0, self.1
+                );
             }
         }
     }
 
     #[test]
     fn a_seeded_sweep_reads_every_acked_value_and_converges() {
-        for seed in 1..=32 {
-            let _seed = Seed(seed);
-            sweep(seed, 200);
+        for members in [2, 3] {
+            for seed in 1..=32 {
+                let _seed = Seed(members, seed);
+                sweep(members, seed, 200);
+            }
         }
     }
 
     /// Random writes, batches, allocations, frees, crashes, partitions,
-    /// heals and resyncs over three faulty disks, checked against the last
+    /// heals and resyncs over `n` faulty disks, checked against the last
     /// acknowledged value of every allocated number (empty while unwritten).
     /// At least one member stays In on a healthy disk, so every call must
     /// succeed.
-    fn sweep(seed: u64, steps: usize) {
+    fn sweep(n: usize, seed: u64, steps: usize) {
         let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
-        let (disks, replicas) = faulty_set(3);
+        let (disks, replicas) = faulty_set(n);
         let mut acked: std::collections::BTreeMap<BlockNr, Bytes> = Default::default();
         let mut freed: Vec<BlockNr> = Vec::new();
         let healthy = |i: usize| !replicas.is_down(i) && !disks[i].is_partitioned();
         for step in 0..steps {
             let held: Vec<BlockNr> = acked.keys().copied().collect();
-            let victim = rng.below(3);
+            let victim = rng.below(n);
             match rng.below(10) {
                 0 => {
                     acked.insert(replicas.allocate().unwrap(), Bytes::new());
@@ -2218,8 +2224,8 @@ mod tests {
                     acked.remove(&nr);
                     freed.push(nr);
                 }
-                5 if (0..3).filter(|&i| healthy(i)).count() >= 2 => replicas.crash(victim),
-                6 if (0..3).filter(|&i| healthy(i)).count() >= 2 => disks[victim].partition(),
+                5 if (0..n).filter(|&i| healthy(i)).count() >= 2 => replicas.crash(victim),
+                6 if (0..n).filter(|&i| healthy(i)).count() >= 2 => disks[victim].partition(),
                 7 => disks[victim].heal(),
                 8 if !disks[victim].is_partitioned() => {
                     replicas.resync(victim).unwrap();
@@ -2237,7 +2243,7 @@ mod tests {
         // A worker still failing on a partition it met before the heal
         // deposes its member before the fence returns.
         replicas.quiesce();
-        for idx in 0..3 {
+        for idx in 0..n {
             replicas.resync(idx).unwrap();
         }
         // Write what is unwritten, so every member should hold the table.
@@ -2251,7 +2257,7 @@ mod tests {
         assert_eq!(replicas.divergent_blocks(), Vec::<BlockNr>::new());
         let table = replicas.allocated_blocks();
         assert_eq!(table, acked.keys().copied().collect::<Vec<_>>());
-        for idx in 0..3 {
+        for idx in 0..n {
             let mut blocks = replicas.replica(idx).allocated_blocks();
             blocks.sort_unstable();
             assert_eq!(blocks, table, "member {idx} holds what the table holds");

@@ -172,9 +172,8 @@ impl BlockServer {
         Ok(nr)
     }
 
-    /// Allocates a *specific* block number owned by the account of `cap` (the
-    /// companion half of the two-server stable storage; see
-    /// [`BlockStore::allocate_at`]).
+    /// Allocates a *specific* block number owned by the account of `cap`, for a
+    /// caller that chooses numbers itself (see [`BlockStore::allocate_at`]).
     pub fn allocate_at(&self, cap: &Capability, nr: BlockNr) -> Result<()> {
         let account = self.check(cap, Rights::CREATE)?;
         self.store.allocate_at(nr)?;
@@ -184,8 +183,8 @@ impl BlockServer {
         Ok(())
     }
 
-    /// Allocates a block and writes its first contents in one call, as the companion
-    /// protocol of §4 does.
+    /// Allocates a block and writes its first contents in one call (§4's
+    /// allocate-and-write); the block is freed again if the write fails.
     pub fn allocate_and_write(&self, cap: &Capability, data: Bytes) -> Result<BlockNr> {
         let nr = self.allocate(cap)?;
         match self.write(cap, nr, data) {

@@ -62,10 +62,11 @@ pub trait BlockStore: Send + Sync {
     /// are empty.
     fn allocate(&self) -> Result<BlockNr>;
 
-    /// Allocates a *specific* block number.  Used by the companion protocol of the
-    /// dual-server stable storage (§4), where server A chooses the number and server B
-    /// must allocate the same one.  Fails with [`crate::BlockError::AlreadyAllocated`]
-    /// if the block is in use (an *allocate collision*).
+    /// Allocates a *specific* block number, for a caller that chooses numbers
+    /// itself: a replica set's coordinator picks the number and each member
+    /// disk must hold that same one (see [`BlockStore::write_batch`]).  Fails
+    /// with [`crate::BlockError::AlreadyAllocated`] if the block is in use (an
+    /// *allocate collision*).
     fn allocate_at(&self, nr: BlockNr) -> Result<()>;
 
     /// Frees a block.  Reading it afterwards fails until it is allocated again.

@@ -40,9 +40,6 @@ pub enum BlockError {
     Crashed,
     /// The stored data failed its integrity check (simulated media corruption).
     Corrupted(BlockNr),
-    /// A write raced with another write to the same block through a companion server
-    /// and was rejected (write collision, §4).
-    WriteCollision(BlockNr),
     /// The presented capability or account does not grant access to this block.
     PermissionDenied,
     /// The operation is not supported by this store.
@@ -75,9 +72,6 @@ impl fmt::Display for BlockError {
             BlockError::Locked(nr) => write!(f, "block {nr} is locked by another client"),
             BlockError::Crashed => write!(f, "block server has crashed"),
             BlockError::Corrupted(nr) => write!(f, "block {nr} failed its integrity check"),
-            BlockError::WriteCollision(nr) => {
-                write!(f, "write collision detected on block {nr}")
-            }
             BlockError::PermissionDenied => write!(f, "permission denied"),
             BlockError::Unsupported(what) => write!(f, "operation not supported: {what}"),
             BlockError::Io(msg) => write!(f, "I/O error: {msg}"),

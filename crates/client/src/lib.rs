@@ -18,9 +18,6 @@
 //!   capability-based placement (`amoeba_capability::shard_of`) with per-shard
 //!   replicated block storage underneath; the whole trait-driven client stack
 //!   (cache, retry loop, workloads, conformance suite) runs over it unchanged.
-//! * [`retry_update`] — compatibility wrapper around the retry loop the paper
-//!   expects of clients, now provided generically by
-//!   [`afs_core::FileStoreExt::update`].
 //! * [`NamedStore`] — the naming layer: slash-separated path resolution
 //!   (`/a/b/c` → capability) over any [`afs_core::FileStore`], backed by a
 //!   generation-checked prefix cache keyed like [`ClientCache`]; directories
@@ -39,14 +36,12 @@ mod lease;
 mod named;
 mod remote;
 mod remote_dir;
-mod retry;
 mod sharded;
 
 pub use cache::{CacheStats, ClientCache};
 pub use named::{NameCacheStats, NamedStore};
 pub use remote::RemoteFs;
 pub use remote_dir::RemoteDir;
-pub use retry::retry_update;
 pub use sharded::ShardedStore;
 
 /// Historical alias: the client-visible error type is the unified

@@ -49,7 +49,7 @@ const ERR_WRITE_ONCE: u8 = 5;
 const ERR_LOCKED: u8 = 6;
 const ERR_CRASHED: u8 = 7;
 const ERR_CORRUPTED: u8 = 8;
-const ERR_WRITE_COLLISION: u8 = 9;
+// Code 9 is retired and never reused; like any unknown code it decodes as `Io`.
 const ERR_PERMISSION: u8 = 10;
 const ERR_UNSUPPORTED: u8 = 11;
 const ERR_EPOCH_MISMATCH: u8 = 12;
@@ -83,10 +83,6 @@ pub fn encode_block_error(err: &BlockError) -> Bytes {
         BlockError::Crashed => buf.put_u8(ERR_CRASHED),
         BlockError::Corrupted(nr) => {
             buf.put_u8(ERR_CORRUPTED);
-            buf.put_u32_le(*nr);
-        }
-        BlockError::WriteCollision(nr) => {
-            buf.put_u8(ERR_WRITE_COLLISION);
             buf.put_u32_le(*nr);
         }
         BlockError::PermissionDenied => buf.put_u8(ERR_PERMISSION),
@@ -138,7 +134,6 @@ pub fn decode_block_error(mut payload: Bytes) -> BlockError {
         ERR_LOCKED => BlockError::Locked(nr(&mut payload)),
         ERR_CRASHED => BlockError::Crashed,
         ERR_CORRUPTED => BlockError::Corrupted(nr(&mut payload)),
-        ERR_WRITE_COLLISION => BlockError::WriteCollision(nr(&mut payload)),
         ERR_PERMISSION => BlockError::PermissionDenied,
         ERR_UNSUPPORTED => BlockError::Io(format!(
             "unsupported: {}",
@@ -571,7 +566,6 @@ mod tests {
             BlockError::Locked(1),
             BlockError::Crashed,
             BlockError::Corrupted(12),
-            BlockError::WriteCollision(4),
             BlockError::PermissionDenied,
             BlockError::Io("boom".into()),
             BlockError::EpochMismatch {

@@ -13,7 +13,7 @@
 //! | E4 | crash recovery work (§3.1, §6) |
 //! | E5 | commit scaling — the critical section is one test-and-set (§5.2) |
 //! | E6 | super-file updates — locking vs pure OCC (§5.3, §6) |
-//! | E7 | dual-server stable storage (§4) |
+//! | E7 | stable storage: a single disk vs 2- and 3-member replica sets (§4) |
 //! | E8 | copy-on-write overhead vs tree shape (§5.1) |
 //! | E9 | one-page files pay no concurrency-control cost (§2, §6) |
 //! | E10 | old versions are retired at commit, beside foreground traffic (abstract, §5.1) |
@@ -33,7 +33,7 @@ use afs_baselines::{
 use afs_core::{FileService, PagePath, Port, ServiceConfig, VersionOptions};
 use afs_workload::{airline_mix, compiler_temp_mix, AccessDistribution, MixConfig};
 use amoeba_block::{
-    BlockServer, BlockStore, CompanionPair, FaultyStore, MemStore, StableStore, WriteOnceStore,
+    BlockServer, BlockStore, FaultyStore, MemStore, ReplicatedBlockStore, WriteOnceStore,
 };
 
 use crate::driver::{run_workload, RunConfig};
@@ -689,7 +689,7 @@ pub fn e6_superfile_locking(sub_files: usize, background_ops: usize) -> Vec<Supe
 }
 
 // ---------------------------------------------------------------------------
-// E7: dual-server stable storage (§4).
+// E7: stable storage on a replica set (§4).
 // ---------------------------------------------------------------------------
 
 /// One row of the E7 table.
@@ -721,7 +721,8 @@ impl std::fmt::Display for StableRow {
     }
 }
 
-/// Experiment E7: single disk vs Lampson–Sturgis vs the paper's two-server scheme.
+/// Experiment E7: a single disk vs replica sets of two (the paper's pair) and
+/// three disks, each losing one disk after `block_count` writes.
 pub fn e7_stable_storage(block_count: usize) -> Vec<StableRow> {
     let payload = |i: usize| Bytes::from(vec![(i % 251) as u8; 128]);
     let mut rows = Vec::new();
@@ -747,45 +748,32 @@ pub fn e7_stable_storage(block_count: usize) -> Vec<StableRow> {
         });
     }
 
-    // Lampson–Sturgis: one server, two disks.
-    {
-        let stable = StableStore::new(
-            FaultyStore::new(MemStore::new()),
-            FaultyStore::new(MemStore::new()),
+    // The paper's pair and its 3-way generalisation: one replica set over
+    // independent disks.  Every write lands on each member (the quiesce
+    // drains the straggler a majority ack left behind); losing a disk
+    // degrades the set to its survivors.
+    for (scheme, members) in [("replica set ×2", 2), ("replica set ×3", 3)] {
+        let disks: Vec<Arc<FaultyStore<MemStore>>> = (0..members)
+            .map(|_| Arc::new(FaultyStore::new(MemStore::new())))
+            .collect();
+        let set = ReplicatedBlockStore::new(
+            disks
+                .iter()
+                .map(|d| Arc::clone(d) as Arc<dyn BlockStore>)
+                .collect(),
         );
         let mut blocks = Vec::new();
         for i in 0..block_count {
-            let nr = stable.allocate().unwrap();
-            stable.write(nr, payload(i)).unwrap();
+            let nr = set.allocate().unwrap();
+            set.write(nr, payload(i)).unwrap();
             blocks.push(nr);
         }
-        let physical = stable.disk(0).stats().writes + stable.disk(1).stats().writes;
-        stable.disk(0).crash();
-        let readable = blocks.iter().filter(|&&nr| stable.read(nr).is_ok()).count();
+        set.quiesce();
+        let physical = disks.iter().map(|d| d.stats().writes).sum();
+        disks[0].crash();
+        let readable = blocks.iter().filter(|&&nr| set.read(nr).is_ok()).count();
         rows.push(StableRow {
-            scheme: "lampson-sturgis 1s/2d",
-            writes: block_count,
-            physical_writes: physical,
-            reads_after_failure: readable,
-            survived_failure: readable == block_count,
-        });
-    }
-
-    // The paper's scheme: two servers, two disks, with fail-over.
-    {
-        let disk_a: Arc<FaultyStore<MemStore>> = Arc::new(FaultyStore::new(MemStore::new()));
-        let disk_b: Arc<FaultyStore<MemStore>> = Arc::new(FaultyStore::new(MemStore::new()));
-        let pair = CompanionPair::new(disk_a.clone(), disk_b.clone());
-        let handle = pair.handle(0);
-        let mut blocks = Vec::new();
-        for i in 0..block_count {
-            blocks.push(handle.allocate_and_write(payload(i)).unwrap());
-        }
-        let physical = disk_a.stats().writes + disk_b.stats().writes;
-        pair.crash(0);
-        let readable = blocks.iter().filter(|&&nr| handle.read(nr).is_ok()).count();
-        rows.push(StableRow {
-            scheme: "companion pair 2s/2d",
+            scheme,
             writes: block_count,
             physical_writes: physical,
             reads_after_failure: readable,
@@ -1495,18 +1483,11 @@ mod tests {
                 .unwrap()
                 .survived_failure
         );
-        assert!(
-            rows.iter()
-                .find(|r| r.scheme == "lampson-sturgis 1s/2d")
-                .unwrap()
-                .survived_failure
-        );
-        assert!(
-            rows.iter()
-                .find(|r| r.scheme == "companion pair 2s/2d")
-                .unwrap()
-                .survived_failure
-        );
+        for (scheme, members) in [("replica set ×2", 2), ("replica set ×3", 3)] {
+            let row = rows.iter().find(|r| r.scheme == scheme).unwrap();
+            assert!(row.survived_failure, "{scheme}");
+            assert_eq!(row.physical_writes, members * 16, "{scheme}");
+        }
     }
 
     #[test]

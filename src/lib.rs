@@ -11,9 +11,10 @@
 //!   protocol every store — local or remote — implements, with the retrying
 //!   [`afs_core::FileStoreExt::update`] transaction API and batched page
 //!   operations on top,
-//! * [`amoeba_block`] — the block service (atomic blocks, stable storage,
-//!   N-replica [`amoeba_block::ReplicatedBlockStore`] sets, write-once media,
-//!   fault injection),
+//! * [`amoeba_block`] — the block service (atomic blocks; stable storage as
+//!   N-replica [`amoeba_block::ReplicatedBlockStore`] sets, of which the
+//!   paper's two-disk pair is the 2-member case; write-once media; fault
+//!   injection),
 //! * [`amoeba_capability`] — ports, capabilities, rights, the
 //!   [`amoeba_capability::shard_of`] placement function, and the
 //!   [`amoeba_capability::DirCap`] directory-capability newtype,

@@ -3,25 +3,31 @@
 
 use std::sync::Arc;
 
-use afs_client::{retry_update, ClientCache, RemoteFs};
+use afs_client::{ClientCache, RemoteFs};
 use afs_core::{FileService, FileStore, FileStoreExt, PagePath, RetryPolicy, ServiceConfig};
 use afs_server::ServerGroup;
-use amoeba_block::{BlockServer, BlockStore, CompanionPair, MemStore};
+use amoeba_block::{BlockServer, BlockStore, FaultyStore, MemStore, ReplicatedBlockStore};
 use amoeba_rpc::LocalNetwork;
 use bytes::Bytes;
 
-/// A full stack: companion-pair stable storage under the block server, the file
-/// service on top, replicated server processes, and an RPC client driving updates.
+/// A full stack: stable storage under the block server, the file service on
+/// top, replicated server processes, and an RPC client driving updates.
 #[test]
 fn full_stack_update_cycle_over_stable_storage() {
-    // The paper's dual-server stable storage as the disk substrate: a client
-    // handle on the pair is itself a `BlockStore`, so the block server — and
-    // with it every version page the file service writes — runs the §4
-    // companion write protocol.
-    let pair = CompanionPair::new(Arc::new(MemStore::new()), Arc::new(MemStore::new()));
-    let handle = Arc::new(pair.handle(0));
+    // The paper's two-disk stable storage is a 2-member replica set: a
+    // majority of two is both, so every version page the file service writes
+    // lands on both disks before the commit returns.
+    let disks: Vec<Arc<FaultyStore<MemStore>>> = (0..2)
+        .map(|_| Arc::new(FaultyStore::new(MemStore::new())))
+        .collect();
+    let set = ReplicatedBlockStore::new(
+        disks
+            .iter()
+            .map(|d| Arc::clone(d) as Arc<dyn BlockStore>)
+            .collect(),
+    );
 
-    let block_server = Arc::new(BlockServer::new(handle));
+    let block_server = Arc::new(BlockServer::new(Arc::clone(&set) as _));
     let service = FileService::new(block_server);
     let network = Arc::new(LocalNetwork::new());
     let group = ServerGroup::start(&network, &service, 3);
@@ -40,17 +46,16 @@ fn full_stack_update_cycle_over_stable_storage() {
         Bytes::from_static(b"integration")
     );
 
-    // Every block the update produced is on *both* companion disks.
-    assert!(pair.disk(0).allocated_count() > 0);
-    assert_eq!(
-        pair.disk(0).allocated_count(),
-        pair.disk(1).allocated_count(),
-        "companion disks must hold the same blocks"
-    );
+    // Every block the update produced is on *both* disks.
+    set.quiesce();
+    let mut held: Vec<Vec<_>> = disks.iter().map(|d| d.allocated_blocks()).collect();
+    held.iter_mut().for_each(|blocks| blocks.sort_unstable());
+    assert!(!held[0].is_empty());
+    assert_eq!(held[0], held[1], "both disks must hold the same blocks");
 
-    // Crash companion disk 0: all committed data stays readable through the
-    // survivor, with no recovery work at the file-service layer.
-    pair.crash(0);
+    // Crash disk 0: all committed data stays readable through the survivor,
+    // with no recovery work at the file-service layer.
+    disks[0].crash();
     let current = client.current_version(&file).unwrap();
     assert_eq!(
         client.read_committed_page(&current, &page).unwrap(),
@@ -63,8 +68,10 @@ fn full_stack_update_cycle_over_stable_storage() {
             tx.append(&PagePath::root(), Bytes::from_static(b"degraded write"))
         })
         .unwrap();
-    let replayed = pair.recover(0).unwrap();
-    assert!(replayed > 0, "recovery must replay the intentions list");
+    disks[0].recover();
+    let replayed = set.resync(0).unwrap();
+    assert!(replayed > 0, "resync must replay the writes disk 0 missed");
+    assert_eq!(set.divergent_blocks(), Vec::new());
     let current = client.current_version(&file).unwrap();
     assert_eq!(
         client.read_committed_page(&current, &page2).unwrap(),
@@ -117,8 +124,7 @@ fn concurrent_rpc_clients_never_lose_updates() {
 }
 
 /// A server-process crash mid-update requires no rollback: the client redoes its
-/// update through a replica and all committed data stays intact.  Exercises the
-/// legacy `retry_update` wrapper, now generic over `FileStore`.
+/// update through a replica and all committed data stays intact.
 #[test]
 fn server_crash_requires_no_rollback() {
     let network = Arc::new(LocalNetwork::new());
@@ -141,10 +147,11 @@ fn server_crash_requires_no_rollback() {
     group.process(0).crash();
 
     // Redo through the replica; committed state was never endangered.
-    retry_update(&client, &file, 10, |remote, version| {
-        remote.write_page(version, &page, Bytes::from_static(b"after crash"))
-    })
-    .unwrap();
+    client
+        .update_with(&file, RetryPolicy::with_max_attempts(10), |tx| {
+            tx.write(&page, Bytes::from_static(b"after crash"))
+        })
+        .unwrap();
     let current = client.current_version(&file).unwrap();
     assert_eq!(
         client.read_committed_page(&current, &page).unwrap(),
