@@ -64,7 +64,8 @@ impl TxProfile {
     }
 }
 
-/// The uniform interface the experiment harness drives.
+/// The uniform interface the experiment harness drives: transactions only.
+/// A mechanism's I/O is counted by the store under it, not reported here.
 pub trait ConcurrencyControl: Send + Sync {
     /// Short name used in result tables ("occ", "2pl", "timestamp").
     fn name(&self) -> &'static str;
@@ -79,27 +80,6 @@ pub trait ConcurrencyControl: Send + Sync {
 
     /// Reads a page outside any transaction (for result verification).
     fn read_page(&self, file: u64, page: u32) -> Result<Bytes, TxAbort>;
-
-    /// Physical page I/O statistics of the backing store, when the mechanism can
-    /// see them (the Amoeba service reports its [`afs_core::PageIoStats`],
-    /// including `pages_flushed_at_commit`; the baselines return `None`).  For a
-    /// sharded store this is the sum over all shards.
-    fn io_stats(&self) -> Option<afs_core::PageIoStats> {
-        None
-    }
-
-    /// Per-shard physical page I/O statistics, in shard order, when the
-    /// mechanism can see them.  An unsharded mechanism is one shard.
-    fn shard_io_stats(&self) -> Option<Vec<afs_core::PageIoStats>> {
-        self.io_stats().map(|stats| vec![stats])
-    }
-
-    /// RPC-client statistics (backed-off retry rounds, reconnects, in-flight
-    /// high-water mark), when the mechanism runs over a remote connection.
-    /// Local mechanisms and the baselines return `None`.
-    fn client_stats(&self) -> Option<amoeba_rpc::ClientStats> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -113,9 +93,6 @@ pub struct StoreAdapter<S: FileStore> {
     name: &'static str,
     files: parking_lot::RwLock<std::collections::HashMap<u64, afs_core::Capability>>,
     next: std::sync::atomic::AtomicU64,
-    /// Probe for the RPC-client statistics of the wrapped store, when it is a
-    /// remote connection ([`FileStore`] itself has no transport to ask).
-    client_stats: Option<Box<dyn Fn() -> amoeba_rpc::ClientStats + Send + Sync>>,
 }
 
 /// The local Amoeba file service behind the uniform interface.
@@ -129,19 +106,7 @@ impl<S: FileStore> StoreAdapter<S> {
             name,
             files: parking_lot::RwLock::new(std::collections::HashMap::new()),
             next: std::sync::atomic::AtomicU64::new(1),
-            client_stats: None,
         }
-    }
-
-    /// Attaches a probe that reads the wrapped store's RPC-client statistics
-    /// (e.g. `|| remote.stats()` or `|| sharded.client_stats()`), surfacing
-    /// them through [`ConcurrencyControl::client_stats`].
-    pub fn with_client_stats(
-        mut self,
-        probe: impl Fn() -> amoeba_rpc::ClientStats + Send + Sync + 'static,
-    ) -> Self {
-        self.client_stats = Some(Box::new(probe));
-        self
     }
 
     /// The wrapped store.
@@ -250,18 +215,6 @@ impl<S: FileStore> ConcurrencyControl for StoreAdapter<S> {
         self.store
             .read_committed_page(&current, &page_path(page))
             .map_err(|e| TxAbort::Fault(e.to_string()))
-    }
-
-    fn io_stats(&self) -> Option<afs_core::PageIoStats> {
-        self.store.io_stats()
-    }
-
-    fn shard_io_stats(&self) -> Option<Vec<afs_core::PageIoStats>> {
-        self.store.shard_io_stats()
-    }
-
-    fn client_stats(&self) -> Option<amoeba_rpc::ClientStats> {
-        self.client_stats.as_ref().map(|probe| probe())
     }
 }
 

@@ -641,7 +641,8 @@ impl ReplicatedBlockStore {
     }
 
     /// Accumulated degraded-mode / fail-over statistics.  (Named distinctly from
-    /// [`BlockStore::stats`], which reports the first In disk's I/O counters.)
+    /// [`BlockStore::stats`], which sums the I/O counters of every member's
+    /// disk.)
     pub fn replica_stats(&self) -> ReplicaSetStats {
         let s = &self.shared;
         ReplicaSetStats {
@@ -1080,11 +1081,19 @@ impl BlockStore for ReplicatedBlockStore {
         self.shared.log.lock().numbers.allocated.len()
     }
 
+    /// The field-wise sum over every member's disk, whatever its status: the
+    /// sum only grows, so [`StoreStats::since`] holds across a depose.
     fn stats(&self) -> StoreStats {
-        match self.shared.membership.members().first() {
-            Some(&idx) => self.shared.replicas[idx].store.stats(),
-            None => StoreStats::default(),
-        }
+        let disks = self.shared.replicas.iter().map(|r| r.store.stats());
+        disks.fold(StoreStats::default(), |sum, disk| StoreStats {
+            allocations: sum.allocations + disk.allocations,
+            frees: sum.frees + disk.frees,
+            reads: sum.reads + disk.reads,
+            writes: sum.writes + disk.writes,
+            write_calls: sum.write_calls + disk.write_calls,
+            bytes_written: sum.bytes_written + disk.bytes_written,
+            bytes_read: sum.bytes_read + disk.bytes_read,
+        })
     }
 
     fn allocated_blocks(&self) -> Vec<BlockNr> {
@@ -1114,6 +1123,24 @@ mod tests {
                 .collect(),
         );
         (disks, replicas)
+    }
+
+    #[test]
+    fn set_stats_sum_every_disk_and_never_shrink_across_a_depose() {
+        let replicas = set(2);
+        let nr = replicas.allocate().unwrap();
+        replicas.write(nr, Bytes::from_static(b"x")).unwrap();
+        for _ in 0..5 {
+            replicas.read(nr).unwrap();
+        }
+        replicas.quiesce();
+        let before = replicas.stats();
+        // Member 0 served every read; deposing it must not make the
+        // set's counters go backwards.
+        replicas.crash(0);
+        assert_eq!(replicas.stats().since(&before), StoreStats::default());
+        // Both disks' copies of the write count.
+        assert_eq!((before.writes, before.reads), (2, 5), "{before:?}");
     }
 
     #[test]
@@ -1362,6 +1389,9 @@ mod tests {
         let replicas = set(3);
         let nr = replicas.allocate().unwrap();
         replicas.write(nr, Bytes::from_static(b"before")).unwrap();
+        // The write acks on a majority: let the straggler apply it too, so
+        // the only intentions are the writes made while replica 1 is down.
+        replicas.quiesce();
 
         replicas.crash(1);
         replicas.write(nr, Bytes::from_static(b"during")).unwrap();

@@ -229,36 +229,12 @@ impl<S: FileStore> FileStore for ShardedStore<S> {
     fn write_pages(&self, version: &Capability, writes: &[(PagePath, Bytes)]) -> Result<()> {
         self.shard_for(version).write_pages(version, writes)
     }
-
-    fn io_stats(&self) -> Option<afs_core::PageIoStats> {
-        // The aggregate is the *sum* over all reporting shards — never shard 0's
-        // counters alone.
-        let mut merged: Option<afs_core::PageIoStats> = None;
-        for shard in &self.shards {
-            if let Some(stats) = shard.io_stats() {
-                merged = Some(match merged {
-                    Some(total) => total.merged(&stats),
-                    None => stats,
-                });
-            }
-        }
-        merged
-    }
-
-    fn shard_io_stats(&self) -> Option<Vec<afs_core::PageIoStats>> {
-        let per_shard: Vec<afs_core::PageIoStats> = self
-            .shards
-            .iter()
-            .map(|shard| shard.io_stats())
-            .collect::<Option<Vec<_>>>()?;
-        Some(per_shard)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use afs_core::{FileStoreExt, PageIoStats};
+    use afs_core::FileStoreExt;
 
     fn local(shards: usize) -> ShardedStore<Arc<FileService>> {
         ShardedStore::local_replicated(shards, 2).0
@@ -300,35 +276,6 @@ mod tests {
             assert_eq!(shard_of(&version, 4), shard_of(&file, 4));
             store.abort(&version).unwrap();
         }
-    }
-
-    #[test]
-    fn io_stats_sum_over_shards() {
-        let store = local(3);
-        // Drive work onto every shard.
-        for i in 0..6u8 {
-            let file = store.create_file().unwrap();
-            store
-                .update(&file, |tx| {
-                    tx.append(&PagePath::root(), Bytes::from(vec![i; 64]))
-                })
-                .unwrap();
-        }
-        let per_shard = store.shard_io_stats().expect("local shards report stats");
-        assert_eq!(per_shard.len(), 3);
-        assert!(
-            per_shard.iter().all(|s| s.page_writes > 0),
-            "every shard did physical writes"
-        );
-        let total = store.io_stats().expect("aggregate reported");
-        let manual = per_shard
-            .iter()
-            .fold(PageIoStats::default(), |acc, s| acc.merged(s));
-        assert_eq!(total, manual, "aggregate is the field-wise sum");
-        assert!(
-            per_shard.iter().all(|s| s.page_writes < total.page_writes),
-            "no single shard accounts for the whole aggregate"
-        );
     }
 
     #[test]

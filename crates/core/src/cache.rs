@@ -149,17 +149,13 @@ mod tests {
         let service = FileService::in_memory();
         let (file, _) = file_with_leaves(&service, 4);
         let cached = service.current_version_block(&file).unwrap();
-        let io_before = service.io_stats();
+        let before = service.block_server().stats();
         let validation = service.validate_cache(&file, cached).unwrap();
         assert!(validation.up_to_date);
         assert!(validation.discard.is_empty());
         // The null operation reads only the version page to confirm currency.
-        let io = service.io_stats().since(&io_before);
-        assert!(
-            io.page_reads <= 2,
-            "null validation read {} pages",
-            io.page_reads
-        );
+        let reads = service.block_server().stats().since(&before).reads;
+        assert!(reads <= 2, "null validation read {reads} pages");
     }
 
     #[test]
@@ -242,10 +238,10 @@ mod tests {
     fn an_empty_entry_is_answered_without_a_block_read() {
         let service = FileService::in_memory();
         let (file, paths) = file_with_leaves(&service, 2);
-        let before = service.io_stats();
+        let (before, hits) = (service.block_server().stats(), service.cache_hits());
         let validation = service.validate_cache(&file, NOTHING_CACHED).unwrap();
-        let io = service.io_stats().since(&before);
-        assert_eq!((io.page_reads, io.cache_hits), (0, 0));
+        let reads = service.block_server().stats().since(&before).reads;
+        assert_eq!((reads, service.cache_hits() - hits), (0, 0));
         assert!(!validation.up_to_date);
         assert!(!validation.keeps(&paths[0]));
         assert_eq!(

@@ -646,21 +646,18 @@ mod tests {
         service.commit(&v1).unwrap();
 
         let v2 = service.create_version(&file).unwrap();
-        let before = service.io_stats();
+        let before = service.block_server().stats();
         service
             .write_page(&v2, &p, Bytes::from_static(b"first write"))
             .unwrap();
-        let after_first = service.io_stats();
+        let after_first = service.block_server().stats();
         service
             .write_page(&v2, &p, Bytes::from_static(b"second write"))
             .unwrap();
-        let after_second = service.io_stats();
+        let after_second = service.block_server().stats();
         // The first write copies the page; the second writes it in place.
-        assert_eq!(after_first.pages_allocated - before.pages_allocated, 1);
-        assert_eq!(
-            after_second.pages_allocated - after_first.pages_allocated,
-            0
-        );
+        assert_eq!(after_first.since(&before).allocations, 1);
+        assert_eq!(after_second.since(&after_first).allocations, 0);
     }
 
     #[test]

@@ -462,10 +462,10 @@ mod tests {
                 .unwrap();
             service.commit(&v).unwrap();
         }
-        let before = service.io_stats();
+        let (before, hits) = (service.block_server().stats(), service.cache_hits());
         assert_eq!(service.gc_file(&file).unwrap(), GcReport::default());
-        let io = service.io_stats().since(&before);
-        assert_eq!((io.page_reads, io.cache_hits, io.pages_freed), (0, 0, 0));
+        let io = service.block_server().stats().since(&before);
+        assert_eq!((io.reads, service.cache_hits() - hits, io.frees), (0, 0, 0));
     }
 
     #[test]

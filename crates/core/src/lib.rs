@@ -84,8 +84,8 @@
 //! reads repair stale copies they detect.  The per-shard commit keeps the
 //! durability-at-commit rule below, so crashing or partitioning any minority
 //! of a shard's replicas loses no committed data and surfaces no client
-//! errors.  [`FileStore::io_stats`] on a sharded store is the *sum*
-//! over shards; [`FileStore::shard_io_stats`] exposes the per-shard figures.
+//! errors.  Each shard's physical I/O is counted by the store under its
+//! block server ([`amoeba_block::BlockServer::stats`]).
 //!
 //! ## Naming: directories are ordinary files
 //!
@@ -124,20 +124,20 @@
 //!
 //! A k-write update to one page costs 0 physical writes until commit; the commit
 //! itself writes O(dirty pages) *pages* but only O(1) physical write **calls**
-//! ([`PageIoStats::block_write_calls`] vs [`PageIoStats::page_writes`] is the
-//! realised batching factor), and over replicated storage the batch travels to
-//! each replica as one call — one `WriteBlocks` RPC per replica when the disks
-//! are behind RPC.  Under quorum commits the two-step ordering holds
-//! *per acknowledged quorum*: each replica receives the data batch and the
-//! version page in order through its FIFO stream, the version-page write is
+//! ([`amoeba_block::StoreStats::write_calls`] vs
+//! [`amoeba_block::StoreStats::writes`] is the realised batching factor), and
+//! over replicated storage the batch travels to each replica as one call —
+//! one `WriteBlocks` RPC per replica when the disks are behind RPC.  Under
+//! quorum commits the two-step ordering holds *per acknowledged quorum*:
+//! each replica receives the data batch and the version page in order
+//! through its FIFO stream, the version-page write is
 //! issued only after the data batch was quorum-acked, and a replica that
 //! missed either gets both as ordered intentions at resync — so any replica
 //! that serves reads saw the version page only after every page it
 //! references.  Aborted versions never touch the disk at all, and crash
 //! recovery treats an unflushed uncommitted version as aborted, which is the
 //! paper's redo rule.  This is the only staging and flush path: the commit's
-//! cost is visible in [`PageIoStats::pages_flushed_at_commit`] and
-//! [`PageIoStats::block_write_calls`].
+//! cost is visible in the block server's [`amoeba_block::StoreStats`].
 //!
 //! ## Module map
 //!
@@ -184,7 +184,7 @@ pub use flags::PageFlags;
 pub use gc::{Audit, GcReport};
 pub use locking::{LockRecoveryReport, SuperUpdate};
 pub use page::{Page, PageRef, VersionHeader, MAX_PAGE_DATA};
-pub use pageio::{PageIoStats, PageMut};
+pub use pageio::PageMut;
 pub use path::PagePath;
 pub use recover::RecoveryReport;
 pub use service::{CommitStatsSnapshot, FileService, ServiceConfig, VersionState};

@@ -35,13 +35,10 @@
 //!   since the miss (the per-shard install count), so a reply that left the
 //!   store before a write can never land in the cache after it.
 //!
-//! * **I/O counters**, so the benchmarks report physical disk traffic rather than
-//!   wall-clock time alone.  `page_writes` counts *physical* writes only: a k-write
-//!   update to one page costs 0 physical writes until commit, then O(dirty pages)
-//!   at flush time (visible separately as `pages_flushed_at_commit`).
-//!   `block_write_calls` counts write *calls*: the batched flush makes it O(1)
-//!   per commit while `page_writes` stays O(dirty pages) — the counter pair is
-//!   what proves the k-pages-in-1-call claim instead of inferring it.
+//! * **A cache-hit counter**, the one count no store can see: reads served
+//!   from the write-back buffer or the clean cache never reach it.  Physical
+//!   I/O (reads, writes, write calls, allocations, frees) is counted once, by
+//!   the store under the [`BlockServer`] ([`BlockServer::stats`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,62 +51,6 @@ use amoeba_capability::Capability;
 
 use crate::page::Page;
 use crate::types::Result;
-
-/// I/O statistics of the file service.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PageIoStats {
-    /// Pages read from the block service (physical reads).
-    pub page_reads: u64,
-    /// Pages written to the block service (physical writes, including flushes).
-    pub page_writes: u64,
-    /// Pages newly allocated (copy-on-write copies, fresh pages, version pages).
-    pub pages_allocated: u64,
-    /// Pages freed (aborted versions, retired versions).
-    pub pages_freed: u64,
-    /// Reads satisfied from the clean-page cache or the write-back buffer without
-    /// touching the block service.
-    pub cache_hits: u64,
-    /// Physical page writes performed by commit-time flushes of the write-back
-    /// buffer: O(dirty pages) per commit, however many logical writes staged
-    /// them.  The rest of `page_writes` is commit bookkeeping (test-and-set,
-    /// lock fields) and direct writes (file creation, merge).
-    pub pages_flushed_at_commit: u64,
-    /// Physical block-write *calls* issued to the block service, as opposed to
-    /// pages written: a k-page commit flush counts at most two (the data batch,
-    /// then the version page), and every direct page write counts one.
-    /// `page_writes / block_write_calls` is the realised batching factor — the
-    /// observable form of the k-pages-in-1-call claim.
-    pub block_write_calls: u64,
-}
-
-impl PageIoStats {
-    /// Field-wise difference `self - earlier`.
-    pub fn since(&self, earlier: &PageIoStats) -> PageIoStats {
-        PageIoStats {
-            page_reads: self.page_reads - earlier.page_reads,
-            page_writes: self.page_writes - earlier.page_writes,
-            pages_allocated: self.pages_allocated - earlier.pages_allocated,
-            pages_freed: self.pages_freed - earlier.pages_freed,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            pages_flushed_at_commit: self.pages_flushed_at_commit - earlier.pages_flushed_at_commit,
-            block_write_calls: self.block_write_calls - earlier.block_write_calls,
-        }
-    }
-
-    /// Field-wise sum `self + other`: the aggregate I/O of several independent
-    /// services (the shards of a sharded store report one combined figure).
-    pub fn merged(&self, other: &PageIoStats) -> PageIoStats {
-        PageIoStats {
-            page_reads: self.page_reads + other.page_reads,
-            page_writes: self.page_writes + other.page_writes,
-            pages_allocated: self.pages_allocated + other.pages_allocated,
-            pages_freed: self.pages_freed + other.pages_freed,
-            cache_hits: self.cache_hits + other.cache_hits,
-            pages_flushed_at_commit: self.pages_flushed_at_commit + other.pages_flushed_at_commit,
-            block_write_calls: self.block_write_calls + other.block_write_calls,
-        }
-    }
-}
 
 /// Number of independent shards in the clean-page cache.
 const CACHE_SHARDS: usize = 16;
@@ -332,13 +273,7 @@ pub struct PageIo {
     account: Capability,
     cache: Option<PageCache>,
     overlay: Overlay,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    write_calls: AtomicU64,
-    allocated: AtomicU64,
-    freed: AtomicU64,
     cache_hits: AtomicU64,
-    flushed_at_commit: AtomicU64,
 }
 
 impl PageIo {
@@ -359,13 +294,7 @@ impl PageIo {
             account,
             cache: cache_capacity.map(PageCache::new),
             overlay: Overlay::new(),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            write_calls: AtomicU64::new(0),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            flushed_at_commit: AtomicU64::new(0),
         }
     }
 
@@ -379,17 +308,10 @@ impl PageIo {
         &self.account
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> PageIoStats {
-        PageIoStats {
-            page_reads: self.reads.load(Ordering::Relaxed),
-            page_writes: self.writes.load(Ordering::Relaxed),
-            pages_allocated: self.allocated.load(Ordering::Relaxed),
-            pages_freed: self.freed.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            pages_flushed_at_commit: self.flushed_at_commit.load(Ordering::Relaxed),
-            block_write_calls: self.write_calls.load(Ordering::Relaxed),
-        }
+    /// Reads served from the write-back buffer or the clean cache without
+    /// touching the block service, since creation.
+    pub(crate) fn cache_hits(&self) -> u64 {
+        self.cache_hits.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------
@@ -400,9 +322,6 @@ impl PageIo {
     pub fn allocate_page(&self, page: &Arc<Page>) -> Result<BlockNr> {
         let encoded = page.encode()?;
         let nr = self.server.allocate_and_write(&self.account, encoded)?;
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             cache.insert(nr, page);
         }
@@ -421,8 +340,6 @@ impl PageIo {
             }
             return Err(e.into());
         }
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
         // Disk is now authoritative again for this block.
         self.overlay.remove(nr);
         if let Some(cache) = &self.cache {
@@ -439,7 +356,6 @@ impl PageIo {
     /// buffer; nothing is physically written until [`PageIo::flush_blocks_batched`].
     pub fn allocate_page_buffered(&self, page: &Arc<Page>) -> Result<BlockNr> {
         let nr = self.server.allocate(&self.account)?;
-        self.allocated.fetch_add(1, Ordering::Relaxed);
         self.overlay.insert(nr, Arc::clone(page));
         Ok(nr)
     }
@@ -507,10 +423,6 @@ impl PageIo {
             return Err(e.into());
         }
         let flushed = taken.len();
-        self.writes.fetch_add(flushed as u64, Ordering::Relaxed);
-        self.write_calls.fetch_add(1, Ordering::Relaxed);
-        self.flushed_at_commit
-            .fetch_add(flushed as u64, Ordering::Relaxed);
         if let Some(cache) = &self.cache {
             for (nr, page) in &taken {
                 cache.insert(*nr, page);
@@ -545,7 +457,6 @@ impl PageIo {
             None => 0,
         };
         let raw = self.server.read(&self.account, nr)?;
-        self.reads.fetch_add(1, Ordering::Relaxed);
         let page = Arc::new(Page::decode(raw)?);
         if let Some(cache) = &self.cache {
             cache.fill(nr, &page, installs);
@@ -566,7 +477,6 @@ impl PageIo {
             cache.remove(nr);
         }
         self.server.free(&self.account, nr)?;
-        self.freed.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -627,7 +537,7 @@ impl PageIo {
 impl std::fmt::Debug for PageIo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageIo")
-            .field("stats", &self.stats())
+            .field("cache_hits", &self.cache_hits())
             .field("cache_enabled", &self.cache.is_some())
             .field("buffered_pages", &self.overlay.len())
             .finish()
@@ -675,26 +585,24 @@ mod tests {
     fn cache_hits_avoid_physical_reads() {
         let io = page_io(Some(16));
         let nr = io.allocate_page(&leaf(b"x")).unwrap();
-        let before = io.stats();
+        let (before, hits) = (io.server.stats(), io.cache_hits());
         for _ in 0..10 {
             io.read_page(nr).unwrap();
         }
-        let delta = io.stats().since(&before);
-        assert_eq!(delta.page_reads, 0);
-        assert_eq!(delta.cache_hits, 10);
+        assert_eq!(io.server.stats().since(&before).reads, 0);
+        assert_eq!(io.cache_hits() - hits, 10);
     }
 
     #[test]
     fn disabled_cache_always_reads_physically() {
         let io = page_io(None);
         let nr = io.allocate_page(&leaf(b"x")).unwrap();
-        let before = io.stats();
+        let before = io.server.stats();
         for _ in 0..10 {
             io.read_page(nr).unwrap();
         }
-        let delta = io.stats().since(&before);
-        assert_eq!(delta.page_reads, 10);
-        assert_eq!(delta.cache_hits, 0);
+        assert_eq!(io.server.stats().since(&before).reads, 10);
+        assert_eq!(io.cache_hits(), 0);
     }
 
     #[test]
@@ -716,13 +624,13 @@ mod tests {
     #[test]
     fn buffered_writes_cost_no_physical_io_until_flush() {
         let io = page_io(Some(16));
-        let before = io.stats();
+        let before = io.server.stats();
         let nr = io.allocate_page_buffered(&leaf(b"v0")).unwrap();
         for i in 0..10u8 {
             io.write_page_buffered(nr, &Arc::new(Page::leaf(Bytes::from(vec![i]))));
         }
-        let staged = io.stats().since(&before);
-        assert_eq!(staged.page_writes, 0, "buffered writes must stay in memory");
+        let staged = io.server.stats().since(&before);
+        assert_eq!(staged.writes, 0, "buffered writes must stay in memory");
         assert!(io.is_buffered(nr));
         // Reads see the buffered contents.
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from(vec![9u8]));
@@ -731,9 +639,9 @@ mod tests {
 
         let flushed = io.flush_blocks_batched([nr]).unwrap();
         assert_eq!(flushed, 1);
-        let total = io.stats().since(&before);
-        assert_eq!(total.page_writes, 1, "ten logical writes, one physical");
-        assert_eq!(total.pages_flushed_at_commit, 1);
+        let total = io.server.stats().since(&before);
+        assert_eq!(total.writes, 1, "ten logical writes, one physical");
+        assert_eq!(total.write_calls, 1);
         assert!(!io.is_buffered(nr));
         // The flushed contents are now on disk.
         assert_eq!(on_disk(&io, nr).data, Bytes::from(vec![9u8]));
@@ -742,7 +650,7 @@ mod tests {
     #[test]
     fn batched_flush_is_one_write_call_for_many_pages() {
         let io = page_io(Some(16));
-        let before = io.stats();
+        let before = io.server.stats();
         let blocks: Vec<BlockNr> = (0..6u8)
             .map(|i| {
                 io.allocate_page_buffered(&Arc::new(Page::leaf(Bytes::from(vec![i]))))
@@ -751,18 +659,17 @@ mod tests {
             .collect();
         let flushed = io.flush_blocks_batched(blocks.iter().copied()).unwrap();
         assert_eq!(flushed, 6);
-        let delta = io.stats().since(&before);
-        assert_eq!(delta.page_writes, 6, "every page is physically written");
-        assert_eq!(delta.block_write_calls, 1, "…in one scatter-gather call");
-        assert_eq!(delta.pages_flushed_at_commit, 6);
+        let delta = io.server.stats().since(&before);
+        assert_eq!(delta.writes, 6, "every page is physically written");
+        assert_eq!(delta.write_calls, 1, "…in one scatter-gather call");
         for (i, nr) in blocks.iter().enumerate() {
             assert!(!io.is_buffered(*nr));
             assert_eq!(on_disk(&io, *nr).data, Bytes::from(vec![i as u8]));
         }
         // Flushing blocks with no buffered contents is a no-call no-op.
-        let before = io.stats();
+        let before = io.server.stats();
         assert_eq!(io.flush_blocks_batched(blocks).unwrap(), 0);
-        assert_eq!(io.stats().since(&before).block_write_calls, 0);
+        assert_eq!(io.server.stats().since(&before).write_calls, 0);
     }
 
     #[test]
@@ -842,15 +749,14 @@ mod tests {
     fn update_page_mutates_buffered_blocks_in_memory() {
         let io = page_io(Some(16));
         let nr = io.allocate_page_buffered(&leaf(b"before")).unwrap();
-        let phys_before = io.stats();
+        let before = io.server.stats();
         io.update_page(nr, |page| {
             page.set_data(Bytes::from_static(b"after")).unwrap();
             Ok((true, ()))
         })
         .unwrap();
-        let delta = io.stats().since(&phys_before);
-        assert_eq!(delta.page_reads, 0);
-        assert_eq!(delta.page_writes, 0);
+        let delta = io.server.stats().since(&before);
+        assert_eq!((delta.reads, delta.writes), (0, 0));
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"after"));
     }
 
@@ -858,7 +764,7 @@ mod tests {
     fn update_page_of_a_cached_page_reads_nothing_and_stores_what_it_writes() {
         let io = page_io(Some(16));
         let nr = io.allocate_page(&leaf(b"v1")).unwrap();
-        let before = io.stats();
+        let before = io.server.stats();
         let seen = io
             .update_page(nr, |page| {
                 let seen = page.data.clone();
@@ -867,16 +773,16 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, Bytes::from_static(b"v1"));
-        let delta = io.stats().since(&before);
-        assert_eq!((delta.page_reads, delta.page_writes), (0, 1));
+        let delta = io.server.stats().since(&before);
+        assert_eq!((delta.reads, delta.writes), (0, 1));
         assert_eq!(on_disk(&io, nr).data, Bytes::from_static(b"v2"));
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"v2"));
         // Without a cache every update reads the store.
         let io = page_io(None);
         let nr = io.allocate_page(&leaf(b"v1")).unwrap();
-        let before = io.stats();
+        let before = io.server.stats();
         io.update_page(nr, |_| Ok((false, ()))).unwrap();
-        assert_eq!(io.stats().since(&before).page_reads, 1);
+        assert_eq!(io.server.stats().since(&before).reads, 1);
     }
 
     /// The block whose next read parks, how the read says it got there, and
@@ -983,9 +889,8 @@ mod tests {
         let io = page_io(Some(16));
         let nr = io.allocate_page(&Arc::new(Page::empty())).unwrap();
         io.free_page(nr).unwrap();
-        let s = io.stats();
-        assert_eq!(s.pages_allocated, 1);
-        assert_eq!(s.pages_freed, 1);
+        let s = io.server.stats();
+        assert_eq!((s.allocations, s.frees), (1, 1));
     }
 
     #[test]
@@ -1018,7 +923,6 @@ mod tests {
             h.join().unwrap();
         }
         // The cache stayed bounded (more blocks than capacity) yet produced hits.
-        let stats = io.stats();
-        assert!(stats.cache_hits > 0, "expected some cache hits");
+        assert!(io.cache_hits() > 0, "expected some cache hits");
     }
 }

@@ -27,7 +27,7 @@ use amoeba_block::{BlockNr, BlockServer, MemStore};
 use amoeba_capability::{Capability, Minter, Port, Rights};
 
 use crate::page::{Page, PageRef, VersionHeader};
-use crate::pageio::{PageIo, PageIoStats};
+use crate::pageio::PageIo;
 use crate::types::{FileId, FsError, Result, VersionId};
 
 /// Configuration of a file service.
@@ -344,9 +344,11 @@ impl FileService {
         &self.config
     }
 
-    /// Physical page I/O statistics.
-    pub fn io_stats(&self) -> PageIoStats {
-        self.pages.stats()
+    /// Page reads served from the write-back buffer or the page cache since
+    /// creation: the one I/O count the store cannot see.  Physical I/O is
+    /// counted by the store, [`BlockServer::stats`].
+    pub fn cache_hits(&self) -> u64 {
+        self.pages.cache_hits()
     }
 
     /// Commit-path statistics.

@@ -120,26 +120,6 @@ pub trait FileStore: Send + Sync {
         }
         Ok(())
     }
-
-    /// Physical page I/O statistics of the backing service, if the store can see
-    /// them.  A local service reports its counters (including
-    /// [`crate::PageIoStats::pages_flushed_at_commit`], the pages its
-    /// commit-time flushes wrote); remote stores return `None`.
-    ///
-    /// A sharded store reports the *sum* over its shards here, never a single
-    /// shard's counters; per-shard figures are available from
-    /// [`FileStore::shard_io_stats`].
-    fn io_stats(&self) -> Option<crate::PageIoStats> {
-        None
-    }
-
-    /// Per-shard physical page I/O statistics, in shard order.  An unsharded
-    /// store is one shard: the default returns its [`FileStore::io_stats`] as a
-    /// one-element vector (or `None` when the store cannot see its counters, as
-    /// over RPC).
-    fn shard_io_stats(&self) -> Option<Vec<crate::PageIoStats>> {
-        self.io_stats().map(|stats| vec![stats])
-    }
 }
 
 impl FileStore for FileService {
@@ -200,10 +180,6 @@ impl FileStore for FileService {
 
     fn validate_cache(&self, file: &Capability, cached_block: BlockNr) -> Result<CacheValidation> {
         FileService::validate_cache(self, file, cached_block)
-    }
-
-    fn io_stats(&self) -> Option<crate::PageIoStats> {
-        Some(FileService::io_stats(self))
     }
 }
 
@@ -270,12 +246,6 @@ macro_rules! forward_file_store {
                 writes: &[(PagePath, Bytes)],
             ) -> Result<()> {
                 (**self).write_pages(version, writes)
-            }
-            fn io_stats(&self) -> Option<crate::PageIoStats> {
-                (**self).io_stats()
-            }
-            fn shard_io_stats(&self) -> Option<Vec<crate::PageIoStats>> {
-                (**self).shard_io_stats()
             }
         }
     };

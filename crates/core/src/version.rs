@@ -262,12 +262,11 @@ mod tests {
             .unwrap();
         service.commit(&v1).unwrap();
 
-        let io_before = service.io_stats();
+        let before = service.block_server().stats();
         let v2 = service.create_version(&file).unwrap();
-        let io_after = service.io_stats();
         // Creating the version allocates exactly one page: the new version page.  The
         // rest of the tree is shared.
-        assert_eq!(io_after.pages_allocated - io_before.pages_allocated, 1);
+        assert_eq!(service.block_server().stats().since(&before).allocations, 1);
         let _ = v2;
     }
 
@@ -324,12 +323,11 @@ mod tests {
                 Bytes::from_static(b"scratch"),
             )
             .unwrap();
-        let allocated_before_abort = service.io_stats().pages_allocated;
-        let freed_before = service.io_stats().pages_freed;
+        let before = service.block_server().stats();
         service.abort_version(&v).unwrap();
-        let freed_after = service.io_stats().pages_freed;
-        assert!(freed_after > freed_before);
-        assert!(allocated_before_abort >= freed_after - freed_before);
+        let freed = service.block_server().stats().since(&before).frees;
+        assert!(freed > 0);
+        assert!(before.allocations >= freed);
         assert_eq!(
             service.version_state(&v).unwrap_err(),
             FsError::NoSuchVersion

@@ -32,29 +32,27 @@ fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
 
     const K: usize = 50;
     let v = service.create_version(&file).unwrap();
-    let before = service.io_stats();
+    let before = service.block_server().stats();
     for i in 0..K {
         service
             .write_page(&v, &leaf, Bytes::from(vec![i as u8; 64]))
             .unwrap();
     }
-    let staged = service.io_stats().since(&before);
+    let staged = service.block_server().stats().since(&before);
     assert_eq!(
-        staged.page_writes, 0,
+        staged.writes, 0,
         "uncommitted page writes must stay in the write-back buffer"
     );
 
     service.commit(&v).unwrap();
-    let total = service.io_stats().since(&before);
-    // The flush writes the dirty pages once each (leaf copy, interior copy, version
-    // page); commit adds the commit-reference test-and-set and the lock clear.
-    // Writing every staged page through would cost O(K · depth) writes instead.
-    assert!(
-        total.pages_flushed_at_commit <= 4,
-        "expected O(dirty) flushed pages, got {total:?}"
-    );
-    assert!(
-        (total.page_writes as usize) < K,
+    let total = service.block_server().stats().since(&before);
+    // The flush writes the dirty pages once each (leaf copy and interior copy
+    // in one batch, then the version page); commit adds the commit-reference
+    // test-and-set.  Writing every staged page through would cost
+    // O(K · depth) writes instead.
+    assert_eq!(
+        (total.writes, total.write_calls),
+        (4, 3),
         "expected O(dirty) physical writes for {K} logical writes, got {total:?}"
     );
 
@@ -125,18 +123,17 @@ fn aborts_drop_the_buffer_without_physical_writes() {
     let (file, leaf) = deep_file(&service);
     // Nothing between creating and aborting a version may touch the disk.
     let v = service.create_version(&file).unwrap();
-    let before = service.io_stats();
+    let before = service.block_server().stats();
     for i in 0..20u8 {
         service.write_page(&v, &leaf, Bytes::from(vec![i])).unwrap();
     }
-    let staged = service.io_stats().since(&before);
-    assert_eq!(
-        staged.page_writes, 0,
-        "an aborted buffered update must never touch the disk: {staged:?}"
-    );
     service.abort_version(&v).unwrap();
-    let delta = service.io_stats().since(&before);
-    assert_eq!(delta.pages_flushed_at_commit, 0);
+    let delta = service.block_server().stats().since(&before);
+    assert_eq!(
+        (delta.writes, delta.write_calls),
+        (0, 0),
+        "an aborted buffered update must never touch the disk: {delta:?}"
+    );
     // The committed state is untouched.
     let current = service.current_version(&file).unwrap();
     assert_eq!(
@@ -189,7 +186,7 @@ fn concurrent_committers_share_the_cache_and_stay_correct() {
     for path in paths.iter() {
         service.read_committed_page(&current, path).unwrap();
     }
-    assert!(service.io_stats().cache_hits > 0);
+    assert!(service.cache_hits() > 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ fn concurrent_committers_share_the_cache_and_stay_correct() {
 // ---------------------------------------------------------------------------
 
 /// Commits a version with `dirty` freshly appended pages and returns the
-/// `(page_writes, block_write_calls)` delta of the commit itself.
+/// `(writes, write_calls)` the commit itself made to the store.
 fn commit_cost(service: &FileService, file: &Capability, dirty: usize) -> (u64, u64) {
     let v = service.create_version(file).unwrap();
     for i in 0..dirty {
@@ -205,10 +202,10 @@ fn commit_cost(service: &FileService, file: &Capability, dirty: usize) -> (u64, 
             .append_page(&v, &PagePath::root(), Bytes::from(vec![i as u8; 64]))
             .unwrap();
     }
-    let before = service.io_stats();
+    let before = service.block_server().stats();
     service.commit(&v).unwrap();
-    let delta = service.io_stats().since(&before);
-    (delta.page_writes, delta.block_write_calls)
+    let delta = service.block_server().stats().since(&before);
+    (delta.writes, delta.write_calls)
 }
 
 #[test]

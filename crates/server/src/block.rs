@@ -444,8 +444,8 @@ impl<T: Transport> BlockStore for RemoteBlockStore<T> {
     }
 
     fn stats(&self) -> StoreStats {
-        // The remote disk's counters live server-side; this client cannot see
-        // them (same contract as `FileStore::io_stats` over RPC).
+        // The remote disk's counters live server-side, in the block server's
+        // own store; this client cannot see them.
         StoreStats::default()
     }
 

@@ -37,7 +37,10 @@ impl Default for RunConfig {
     }
 }
 
-/// Aggregate outcome of a workload run.
+/// Aggregate outcome of a workload run.  It holds what the driver itself
+/// sees; I/O and RPC counts are read from the objects the caller built
+/// (`BlockServer::stats`, `ReplicatedBlockStore::replica_stats`,
+/// `RemoteFs::stats`).
 #[derive(Debug, Clone)]
 pub struct RunResult {
     /// Mechanism name reported by the server.
@@ -52,19 +55,6 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Commit latency statistics (time from first attempt to successful commit).
     pub latency: LatencyStats,
-    /// Physical page I/O performed during the run (including
-    /// `pages_flushed_at_commit`, the write-back flush traffic), when the
-    /// mechanism exposes its counters; `None` for the baselines and remote stores.
-    /// For a sharded store this is the *sum* over all shards.
-    pub io: Option<afs_core::PageIoStats>,
-    /// Per-shard physical page I/O for the run, in shard order, when the
-    /// mechanism exposes its counters.  An unsharded mechanism reports one
-    /// entry; use it to see hot-shard skew that the aggregate hides.
-    pub io_per_shard: Option<Vec<afs_core::PageIoStats>>,
-    /// RPC-client statistics for the run (backed-off retry rounds, transport
-    /// reconnects, in-flight high-water mark), when the mechanism runs over a
-    /// remote connection; `None` for local mechanisms and the baselines.
-    pub client_stats: Option<amoeba_rpc::ClientStats>,
 }
 
 impl RunResult {
@@ -103,9 +93,6 @@ where
     let committed = AtomicU64::new(0);
     let aborts = AtomicU64::new(0);
     let gave_up = AtomicU64::new(0);
-    let io_before = cc.io_stats();
-    let io_per_shard_before = cc.shard_io_stats();
-    let client_stats_before = cc.client_stats();
     let start = Instant::now();
 
     let latencies: Vec<Duration> = std::thread::scope(|scope| {
@@ -178,24 +165,6 @@ where
         gave_up: gave_up.load(Ordering::Relaxed),
         elapsed: start.elapsed(),
         latency: LatencyStats::from_samples(latencies),
-        io: match (io_before, cc.io_stats()) {
-            (Some(before), Some(after)) => Some(after.since(&before)),
-            _ => None,
-        },
-        io_per_shard: match (io_per_shard_before, cc.shard_io_stats()) {
-            (Some(before), Some(after)) if before.len() == after.len() => Some(
-                after
-                    .iter()
-                    .zip(before.iter())
-                    .map(|(a, b)| a.since(b))
-                    .collect(),
-            ),
-            _ => None,
-        },
-        client_stats: match (client_stats_before, cc.client_stats()) {
-            (Some(before), Some(after)) => Some(after.since(&before)),
-            _ => None,
-        },
     }
 }
 
@@ -225,22 +194,16 @@ mod tests {
     #[test]
     fn amoeba_runs_the_workload_to_completion() {
         let cc = AmoebaAdapter::in_memory();
+        let before = cc.service().block_server().stats();
         let result = run_workload(&cc, &tiny_config());
         assert_eq!(result.committed, 60);
         assert_eq!(result.gave_up, 0);
         assert!(result.throughput() > 0.0);
-        // The local service surfaces its physical I/O, including the write-back
-        // flush traffic, through the uniform interface.
-        let io = result.io.expect("the local service reports I/O stats");
-        assert!(io.pages_flushed_at_commit > 0);
-        assert!(io.page_writes >= io.pages_flushed_at_commit);
-    }
-
-    #[test]
-    fn baselines_report_no_io_stats() {
-        let cc = TwoPhaseLockingServer::in_memory();
-        let result = run_workload(&cc, &tiny_config());
-        assert!(result.io.is_none());
+        // Every commit reaches the store as at least three write calls (the
+        // data batch, the version page, the commit reference).
+        let io = cc.service().block_server().stats().since(&before);
+        assert!(io.write_calls >= 3 * result.committed, "{io:?}");
+        assert!(io.writes >= io.write_calls, "{io:?}");
     }
 
     #[test]
@@ -270,17 +233,15 @@ mod tests {
         let service = FileService::in_memory();
         let group = ServerGroup::start(&network, &service, 2);
         let remote = Arc::new(RemoteFs::new(Arc::clone(&network), group.ports()));
-        let probe = Arc::clone(&remote);
-        let cc =
-            StoreAdapter::over(remote, "amoeba-occ-rpc").with_client_stats(move || probe.stats());
+        let cc = StoreAdapter::over(Arc::clone(&remote), "amoeba-occ-rpc");
 
+        let before = remote.stats();
         let result = run_workload(&cc, &tiny_config());
         assert_eq!(result.mechanism, "amoeba-occ-rpc");
         assert_eq!(result.committed, 60);
         assert_eq!(result.gave_up, 0);
-        // The remote adapter surfaces uniform client statistics; a healthy
-        // in-process network needs no retries and no reconnects.
-        let stats = result.client_stats.expect("remote adapter reports stats");
+        // A healthy in-process network needs no retries and no reconnects.
+        let stats = remote.stats().since(&before);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.reconnects, 0);
         // Batched page ops keep the wire chatter bounded: per transaction one

@@ -854,11 +854,11 @@ pub fn e8_cow_overhead(shapes: &[(usize, usize)]) -> Vec<CowRow> {
         // One deep-leaf update.
         let leaf = frontier.first().cloned().unwrap_or_else(PagePath::root);
         let v = service.create_version(&file).unwrap();
-        let before = service.io_stats();
+        let before = service.block_server().stats();
         service
             .write_page(&v, &leaf, Bytes::from_static(b"updated leaf"))
             .unwrap();
-        let allocated = service.io_stats().since(&before).pages_allocated;
+        let allocated = service.block_server().stats().since(&before).allocations;
         service.commit(&v).unwrap();
 
         // A follow-up update supersedes it; its commit retires the version.
@@ -866,7 +866,7 @@ pub fn e8_cow_overhead(shapes: &[(usize, usize)]) -> Vec<CowRow> {
         service
             .write_page(&v2, &leaf, Bytes::from_static(b"again"))
             .unwrap();
-        let before = service.io_stats();
+        let before = service.block_server().stats();
         service.commit(&v2).unwrap();
 
         rows.push(CowRow {
@@ -874,7 +874,7 @@ pub fn e8_cow_overhead(shapes: &[(usize, usize)]) -> Vec<CowRow> {
             fanout,
             total_pages,
             blocks_per_leaf_update: allocated,
-            retired_blocks: service.io_stats().since(&before).pages_freed,
+            retired_blocks: service.block_server().stats().since(&before).frees,
         });
     }
     rows
@@ -1006,7 +1006,7 @@ pub fn e10_gc_interference(clients: usize, ops_per_client: usize) -> Vec<GcRow> 
             retention,
             throughput: result.throughput(),
             final_blocks: service.block_server().store().allocated_count(),
-            retired: service.io_stats().pages_freed,
+            retired: service.block_server().stats().frees,
         });
     }
     rows
@@ -1181,7 +1181,7 @@ pub fn e13_flag_cache(rounds: usize) -> Vec<FlagCacheRow> {
         }
         service.commit(&v).unwrap();
 
-        let before = service.io_stats();
+        let (before, hits) = (service.block_server().stats(), service.cache_hits());
         for round in 0..rounds {
             // Two concurrent disjoint updates: the second always validates.
             let va = service.create_version(&file).unwrap();
@@ -1195,11 +1195,10 @@ pub fn e13_flag_cache(rounds: usize) -> Vec<FlagCacheRow> {
             service.commit(&va).unwrap();
             service.commit(&vb).unwrap();
         }
-        let delta = service.io_stats().since(&before);
         rows.push(FlagCacheRow {
             cache_enabled,
-            physical_reads: delta.page_reads,
-            cache_hits: delta.cache_hits,
+            physical_reads: service.block_server().stats().since(&before).reads,
+            cache_hits: service.cache_hits() - hits,
         });
     }
     rows

@@ -8,8 +8,9 @@ use std::sync::Arc;
 use afs_baselines::StoreAdapter;
 use afs_client::ShardedStore;
 use afs_core::{FileService, FileStore};
-use afs_sim::{run_workload, RunConfig};
+use afs_sim::{run_workload, RunConfig, RunResult};
 use afs_workload::sharded_mix;
+use amoeba_block::BlockStore;
 
 const SHARDS: usize = 3;
 const REPLICAS: usize = 2;
@@ -27,6 +28,39 @@ fn sharded_adapter() -> (
     )
 }
 
+/// The blocks each shard has written, summed over its replicas' disks.
+fn shard_writes(replica_sets: &[Arc<afs_core::ReplicatedBlockStore>]) -> Vec<u64> {
+    replica_sets
+        .iter()
+        .map(|set| {
+            set.quiesce();
+            set.stats().writes
+        })
+        .collect()
+}
+
+/// Runs `mix` on a fresh deployment.  Returns the run and the blocks each
+/// shard wrote for its transactions: the run's writes less those of a run
+/// that only creates the files (creation is deterministic).
+fn run_sharded(mix: afs_workload::MixConfig) -> (RunResult, Vec<u64>) {
+    let creation_only = RunConfig {
+        transactions_per_client: 0,
+        ..config(mix.clone())
+    };
+    let (cc, replica_sets) = sharded_adapter();
+    run_workload(&cc, &creation_only);
+    let creation = shard_writes(&replica_sets);
+
+    let (cc, replica_sets) = sharded_adapter();
+    let result = run_workload(&cc, &config(mix));
+    let writes = shard_writes(&replica_sets)
+        .iter()
+        .zip(&creation)
+        .map(|(all, creation)| all - creation)
+        .collect();
+    (result, writes)
+}
+
 fn config(mix: afs_workload::MixConfig) -> RunConfig {
     RunConfig {
         clients: 4,
@@ -36,27 +70,17 @@ fn config(mix: afs_workload::MixConfig) -> RunConfig {
     }
 }
 
-/// Uniform multi-file traffic spreads physical I/O over every shard, and the
-/// aggregate the driver reports is the sum of the per-shard figures.
+/// Uniform multi-file traffic spreads physical I/O over every shard.
 #[test]
 fn uniform_load_reaches_every_shard() {
-    let (cc, _replicas) = sharded_adapter();
-    let result = run_workload(&cc, &config(sharded_mix(12, 16, 0.0, 11)));
+    let (result, per_shard) = run_sharded(sharded_mix(12, 16, 0.0, 11));
     assert_eq!(result.committed, 240);
     assert_eq!(result.gave_up, 0);
 
-    let per_shard = result.io_per_shard.expect("local shards report I/O");
     assert_eq!(per_shard.len(), SHARDS);
-    for (shard, io) in per_shard.iter().enumerate() {
-        assert!(io.page_writes > 0, "shard {shard} saw no writes");
+    for (shard, writes) in per_shard.iter().enumerate() {
+        assert!(*writes > 0, "shard {shard} saw no writes");
     }
-    let total = result.io.expect("aggregate I/O reported");
-    assert_eq!(
-        total.page_writes,
-        per_shard.iter().map(|s| s.page_writes).sum::<u64>(),
-        "aggregate must be the per-shard sum, not shard 0's counters"
-    );
-    assert!(per_shard.iter().all(|s| s.page_writes < total.page_writes));
 }
 
 /// Zipf-skewed file choice concentrates traffic on the shard holding the
@@ -64,22 +88,12 @@ fn uniform_load_reaches_every_shard() {
 /// on shard 0).  The deployment must absorb the skew without starving anyone.
 #[test]
 fn hot_shard_skew_is_visible_in_per_shard_io() {
-    let (cc, _replicas) = sharded_adapter();
-    let result = run_workload(&cc, &config(sharded_mix(12, 16, 0.95, 13)));
+    let (result, per_shard) = run_sharded(sharded_mix(12, 16, 0.95, 13));
     assert_eq!(result.committed, 240);
     assert_eq!(result.gave_up, 0);
 
-    let per_shard = result.io_per_shard.expect("local shards report I/O");
-    let hottest = per_shard
-        .iter()
-        .map(|s| s.page_writes)
-        .max()
-        .expect("some shard");
-    let coldest = per_shard
-        .iter()
-        .map(|s| s.page_writes)
-        .min()
-        .expect("some shard");
+    let hottest = *per_shard.iter().max().expect("some shard");
+    let coldest = *per_shard.iter().min().expect("some shard");
     assert!(
         hottest > coldest,
         "a 0.95-Zipf file skew must produce uneven shard load \
@@ -213,9 +227,6 @@ fn the_sharded_workload_runs_over_rpc() {
     assert_eq!(result.mechanism, "amoeba-occ-sharded-rpc");
     assert_eq!(result.committed, 240);
     assert_eq!(result.gave_up, 0);
-    // Remote stores cannot see server-side I/O counters.
-    assert!(result.io.is_none());
-    assert!(result.io_per_shard.is_none());
 
     // Crash one server process per shard: clients fail over to the replica
     // process, and the run still completes.

@@ -48,5 +48,8 @@ fn main() {
         stats.validated,
         stats.conflicts
     );
-    println!("  physical page writes: {}", service.io_stats().page_writes);
+    println!(
+        "  physical page writes: {}",
+        service.block_server().stats().writes
+    );
 }
