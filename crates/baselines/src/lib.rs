@@ -12,9 +12,11 @@
 //! * [`timestamp`] — a **timestamp-ordering** (pseudo-time) file server in the style
 //!   of SWALLOW/Reed: each page carries read/write timestamps and transactions abort
 //!   when they arrive out of order.
-//! * [`callback_cache`] — an **XDFS-style client cache** kept consistent with
-//!   server→client invalidation callbacks ("unsolicited messages"), the design §5.4
-//!   explicitly rejects.
+//!
+//! The third design §5.4 argues against, a client cache kept coherent by
+//! server→client invalidation callbacks, is not re-implemented here: the
+//! file server's lease protocol (`afs_server::LeaseManager`) breaks leases by
+//! exactly such callbacks, and experiment E3 measures it.
 //!
 //! [`interface::ConcurrencyControl`] is the uniform transaction interface the
 //! experiment harness drives; [`interface::AmoebaAdapter`] exposes the real
@@ -24,12 +26,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod callback_cache;
 pub mod interface;
 pub mod locking;
 pub mod timestamp;
 
-pub use callback_cache::{CallbackCacheServer, CallbackClient};
 pub use interface::{AmoebaAdapter, ConcurrencyControl, StoreAdapter, TxAbort, TxProfile, TxStats};
 pub use locking::TwoPhaseLockingServer;
 pub use timestamp::TimestampOrderingServer;

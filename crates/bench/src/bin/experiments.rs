@@ -26,7 +26,7 @@ fn run(id: &str, quick: bool) {
             &exp::e2_serialise_cost(&[64, 512, 4096], 16, &[0, 1, 4, 8, 16]),
         ),
         "e3" => print_rows(
-            "E3: cache validation (Amoeba) vs callbacks (XDFS)",
+            "E3: cache validation on use (Amoeba) vs lease-break callbacks (XDFS style)",
             &exp::e3_cache_validation(64, 16 * scale),
         ),
         "e4" => print_rows(

@@ -5,7 +5,7 @@
 //! to a connected (callback-capable) client: a promise that the file's
 //! current version will not change without a break frame arriving first.
 //! [`LeaseTable`] records those grants; while one is live,
-//! [`crate::RemoteFs::validate_cache`] answers "up to date" from the table —
+//! [`crate::RemoteFs`]'s `validate_cache` answers "up to date" from the table —
 //! no request, no frame, no round trip.
 //!
 //! # Why trusting the table is safe

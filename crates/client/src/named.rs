@@ -17,7 +17,7 @@
 //! prefix with one `ValidateCache` transaction per directory — the same
 //! ask-don't-be-told discipline as the §5.4 page cache — and drops only tables
 //! that actually changed.  Because directories are ordinary files, the lease
-//! fast path in `crate::RemoteFs::validate_cache` covers them too: under a
+//! fast path in `validate_cache` of `crate::RemoteFs` covers them too: under a
 //! live lease a revalidate-then-resolve of a warm prefix costs zero RPCs, and
 //! a committed rename elsewhere breaks the directory's lease over the callback
 //! channel so the next revalidation goes back to the wire.  Mutations made

@@ -15,9 +15,9 @@
 //!
 //! The stub also owns the client half of the lease protocol (see
 //! [`crate::lease`]): a [`CallbackSink`] registered on the transport feeds
-//! server-pushed break frames into a lease table, and
-//! [`RemoteFs::validate_cache`] answers from that table — zero RPCs — while
-//! a lease is live.
+//! server-pushed break frames into a lease table, and `RemoteFs`'s
+//! [`FileStore::validate_cache`] answers from that table — zero RPCs — while a
+//! lease is live.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,28 +95,26 @@ impl<T: Transport> RemoteFs<T> {
             Err(decode_error(reply.payload))
         }
     }
+}
 
-    /// Creates a new file and returns its capability.
-    pub fn create_file(&self) -> Result<Capability, FsError> {
+impl<T: Transport> FileStore for RemoteFs<T> {
+    fn create_file(&self) -> Result<Capability, FsError> {
         let payload = self.expect_ok(FsOp::CreateFile, Capability::null(), Bytes::new())?;
         decode_capability(payload).ok_or_else(|| FsError::Protocol("bad capability".into()))
     }
 
-    /// Creates a new version of a file.
-    pub fn create_version(&self, file: &Capability) -> Result<Capability, FsError> {
+    fn create_version(&self, file: &Capability) -> Result<Capability, FsError> {
         let payload = self.expect_ok(FsOp::CreateVersion, *file, Bytes::new())?;
         decode_capability(payload).ok_or_else(|| FsError::Protocol("bad capability".into()))
     }
 
-    /// Reads a page of an uncommitted version.
-    pub fn read_page(&self, version: &Capability, path: &PagePath) -> Result<Bytes, FsError> {
+    fn read_page(&self, version: &Capability, path: &PagePath) -> Result<Bytes, FsError> {
         let mut buf = BytesMut::new();
         encode_path(&mut buf, path);
         self.expect_ok(FsOp::ReadPage, *version, buf.freeze())
     }
 
-    /// Writes a page of an uncommitted version.
-    pub fn write_page(
+    fn write_page(
         &self,
         version: &Capability,
         path: &PagePath,
@@ -126,8 +124,7 @@ impl<T: Transport> RemoteFs<T> {
         Ok(())
     }
 
-    /// Appends a new page under `parent` and returns its path.
-    pub fn append_page(
+    fn append_page(
         &self,
         version: &Capability,
         parent: &PagePath,
@@ -141,8 +138,7 @@ impl<T: Transport> RemoteFs<T> {
         decode_path(&mut payload).ok_or_else(|| FsError::Protocol("bad path".into()))
     }
 
-    /// Inserts a new page at `index` under `parent` and returns its path.
-    pub fn insert_page(
+    fn insert_page(
         &self,
         version: &Capability,
         parent: &PagePath,
@@ -157,112 +153,41 @@ impl<T: Transport> RemoteFs<T> {
         decode_path(&mut payload).ok_or_else(|| FsError::Protocol("bad path".into()))
     }
 
-    /// Removes the page (and subtree) at `path`.
-    pub fn remove_page(&self, version: &Capability, path: &PagePath) -> Result<(), FsError> {
+    fn remove_page(&self, version: &Capability, path: &PagePath) -> Result<(), FsError> {
         let mut buf = BytesMut::new();
         encode_path(&mut buf, path);
         self.expect_ok(FsOp::RemovePage, *version, buf.freeze())?;
         Ok(())
     }
 
-    /// Reads a batch of pages in request order, one transaction per
-    /// transport-frame's worth of reply data (one round trip for small pages).
-    pub fn read_pages(
-        &self,
-        version: &Capability,
-        paths: &[PagePath],
-    ) -> Result<Vec<Bytes>, FsError> {
-        let mut pages = Vec::with_capacity(paths.len());
-        let mut rest = paths;
-        while !rest.is_empty() {
-            // Keep the request itself inside one frame too.
-            let mut request_len = 4usize;
-            let mut take = 0usize;
-            for path in rest {
-                let entry = encoded_path_len(path);
-                if take > 0 && request_len + entry > MAX_PAYLOAD {
-                    break;
-                }
-                request_len += entry;
-                take += 1;
-            }
-            let chunk = &rest[..take];
-            let payload = self.expect_ok(FsOp::ReadPages, *version, encode_paths(chunk))?;
-            let served = decode_pages_reply(payload)
-                .ok_or_else(|| FsError::Protocol("bad pages reply".into()))?;
-            if served.is_empty() || served.len() > chunk.len() {
-                return Err(FsError::Protocol("bad pages reply count".into()));
-            }
-            rest = &rest[served.len()..];
-            pages.extend(served);
-        }
-        Ok(pages)
-    }
-
-    /// Writes a batch of pages, one transaction per transport-frame's worth of
-    /// request data (one round trip for small pages).
-    pub fn write_pages(
-        &self,
-        version: &Capability,
-        writes: &[(PagePath, Bytes)],
-    ) -> Result<(), FsError> {
-        let mut rest = writes;
-        while !rest.is_empty() {
-            let mut request_len = 4usize;
-            let mut take = 0usize;
-            for (path, data) in rest {
-                let entry = encoded_write_len(path, data);
-                if take > 0 && request_len + entry > MAX_PAYLOAD {
-                    break;
-                }
-                request_len += entry;
-                take += 1;
-            }
-            let chunk = &rest[..take];
-            self.expect_ok(FsOp::WritePages, *version, encode_writes(chunk))?;
-            rest = &rest[take..];
-        }
-        Ok(())
-    }
-
-    /// Commits a version and returns the service's receipt.
-    pub fn commit(&self, version: &Capability) -> Result<CommitReceipt, FsError> {
+    fn commit(&self, version: &Capability) -> Result<CommitReceipt, FsError> {
         let payload = self.expect_ok(FsOp::Commit, *version, Bytes::new())?;
         decode_receipt(payload).ok_or_else(|| FsError::Protocol("bad commit receipt".into()))
     }
 
-    /// Aborts a version.
-    pub fn abort(&self, version: &Capability) -> Result<(), FsError> {
+    fn abort(&self, version: &Capability) -> Result<(), FsError> {
         self.expect_ok(FsOp::Abort, *version, Bytes::new())?;
         Ok(())
     }
 
-    /// Returns the current (committed) version of a file.
-    pub fn current_version(&self, file: &Capability) -> Result<Capability, FsError> {
+    fn current_version(&self, file: &Capability) -> Result<Capability, FsError> {
         let payload = self.expect_ok(FsOp::CurrentVersion, *file, Bytes::new())?;
         decode_capability(payload).ok_or_else(|| FsError::Protocol("bad capability".into()))
     }
 
-    /// Reads a page of a committed version.
-    pub fn read_committed_page(
-        &self,
-        version: &Capability,
-        path: &PagePath,
-    ) -> Result<Bytes, FsError> {
+    fn read_committed_page(&self, version: &Capability, path: &PagePath) -> Result<Bytes, FsError> {
         let mut buf = BytesMut::new();
         encode_path(&mut buf, path);
         self.expect_ok(FsOp::ReadCommittedPage, *version, buf.freeze())
     }
 
-    /// Validates a cache entry filled from the version page at `cached_block`.
-    ///
     /// Warm path: while a server-granted lease covers `(file, cached_block)`,
     /// the answer is "up to date" straight from the lease table — **zero
     /// RPCs**.  Otherwise one `ValidateCache` round trip runs; if its reply
     /// carries a lease ttl, the grant is recorded (with the countdown
     /// started from *before* the request was sent, so the client's trust
     /// always lapses before the server's).
-    pub fn validate_cache(
+    fn validate_cache(
         &self,
         file: &Capability,
         cached_block: u32,
@@ -288,92 +213,62 @@ impl<T: Transport> RemoteFs<T> {
             discard,
         })
     }
-}
 
-impl<T: Transport> FileStore for RemoteFs<T> {
-    fn create_file(&self) -> afs_core::Result<Capability> {
-        RemoteFs::create_file(self)
+    /// One transaction per transport-frame's worth of reply data (one round
+    /// trip for small pages).
+    fn read_pages(&self, version: &Capability, paths: &[PagePath]) -> Result<Vec<Bytes>, FsError> {
+        let mut pages = Vec::with_capacity(paths.len());
+        let mut rest = paths;
+        while !rest.is_empty() {
+            // Keep the request itself inside one frame too.
+            let take = entries_per_frame(rest.iter().map(encoded_path_len));
+            let chunk = &rest[..take];
+            let payload = self.expect_ok(FsOp::ReadPages, *version, encode_paths(chunk))?;
+            let served = decode_pages_reply(payload)
+                .ok_or_else(|| FsError::Protocol("bad pages reply".into()))?;
+            if served.is_empty() || served.len() > chunk.len() {
+                return Err(FsError::Protocol("bad pages reply count".into()));
+            }
+            rest = &rest[served.len()..];
+            pages.extend(served);
+        }
+        Ok(pages)
     }
 
-    fn create_version(&self, file: &Capability) -> afs_core::Result<Capability> {
-        RemoteFs::create_version(self, file)
-    }
-
-    fn read_page(&self, version: &Capability, path: &PagePath) -> afs_core::Result<Bytes> {
-        RemoteFs::read_page(self, version, path)
-    }
-
-    fn write_page(
-        &self,
-        version: &Capability,
-        path: &PagePath,
-        data: Bytes,
-    ) -> afs_core::Result<()> {
-        RemoteFs::write_page(self, version, path, data)
-    }
-
-    fn append_page(
-        &self,
-        version: &Capability,
-        parent: &PagePath,
-        data: Bytes,
-    ) -> afs_core::Result<PagePath> {
-        RemoteFs::append_page(self, version, parent, data)
-    }
-
-    fn insert_page(
-        &self,
-        version: &Capability,
-        parent: &PagePath,
-        index: u16,
-        data: Bytes,
-    ) -> afs_core::Result<PagePath> {
-        RemoteFs::insert_page(self, version, parent, index, data)
-    }
-
-    fn remove_page(&self, version: &Capability, path: &PagePath) -> afs_core::Result<()> {
-        RemoteFs::remove_page(self, version, path)
-    }
-
-    fn commit(&self, version: &Capability) -> afs_core::Result<CommitReceipt> {
-        RemoteFs::commit(self, version)
-    }
-
-    fn abort(&self, version: &Capability) -> afs_core::Result<()> {
-        RemoteFs::abort(self, version)
-    }
-
-    fn current_version(&self, file: &Capability) -> afs_core::Result<Capability> {
-        RemoteFs::current_version(self, file)
-    }
-
-    fn read_committed_page(
-        &self,
-        version: &Capability,
-        path: &PagePath,
-    ) -> afs_core::Result<Bytes> {
-        RemoteFs::read_committed_page(self, version, path)
-    }
-
-    fn validate_cache(
-        &self,
-        file: &Capability,
-        cached_block: u32,
-    ) -> afs_core::Result<CacheValidation> {
-        RemoteFs::validate_cache(self, file, cached_block)
-    }
-
-    fn read_pages(&self, version: &Capability, paths: &[PagePath]) -> afs_core::Result<Vec<Bytes>> {
-        RemoteFs::read_pages(self, version, paths)
-    }
-
+    /// One transaction per transport-frame's worth of request data (one
+    /// round trip for small pages).
     fn write_pages(
         &self,
         version: &Capability,
         writes: &[(PagePath, Bytes)],
-    ) -> afs_core::Result<()> {
-        RemoteFs::write_pages(self, version, writes)
+    ) -> Result<(), FsError> {
+        let mut rest = writes;
+        while !rest.is_empty() {
+            let take = entries_per_frame(
+                rest.iter()
+                    .map(|(path, data)| encoded_write_len(path, data)),
+            );
+            let chunk = &rest[..take];
+            self.expect_ok(FsOp::WritePages, *version, encode_writes(chunk))?;
+            rest = &rest[take..];
+        }
+        Ok(())
     }
+}
+
+/// How many leading entries, of the given encoded lengths, fit one request
+/// frame after its 4-byte count; always at least one.
+fn entries_per_frame(lens: impl Iterator<Item = usize>) -> usize {
+    let mut request_len = 4usize;
+    let mut take = 0usize;
+    for entry in lens {
+        if take > 0 && request_len + entry > MAX_PAYLOAD {
+            break;
+        }
+        request_len += entry;
+        take += 1;
+    }
+    take
 }
 
 #[cfg(test)]

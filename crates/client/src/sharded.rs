@@ -130,18 +130,6 @@ where
     }
 }
 
-impl<T: Transport> ShardedStore<crate::RemoteFs<T>> {
-    /// Aggregate [`amoeba_rpc::ClientStats`] over every shard connection: counters are
-    /// summed, the in-flight high-water mark is the per-shard maximum.
-    pub fn client_stats(&self) -> amoeba_rpc::ClientStats {
-        self.shards
-            .iter()
-            .fold(amoeba_rpc::ClientStats::default(), |acc, shard| {
-                acc.merged(&shard.stats())
-            })
-    }
-}
-
 impl<S: FileStore> FileStore for ShardedStore<S> {
     fn create_file(&self) -> Result<Capability> {
         // No capability exists yet, so placement is a policy choice; round-robin

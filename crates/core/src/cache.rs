@@ -21,8 +21,8 @@
 //! optimisation, never a correctness dependency.
 //!
 //! This module contains the *server-side* primitive, [`FileService::validate_cache`];
-//! the client-side cache object itself lives in the `afs-client` crate, and the
-//! XDFS-style callback cache it is compared against in `afs-baselines`.
+//! the client-side cache object itself lives in the `afs-client` crate.  Experiment
+//! E3 (`afs-sim`) compares it with the lease protocol's callbacks.
 
 use amoeba_block::BlockNr;
 use amoeba_capability::{Capability, Rights};

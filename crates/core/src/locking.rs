@@ -35,6 +35,9 @@ use crate::service::{FileService, VersionState};
 use crate::types::{FileId, FsError, Result};
 use crate::version::{LockAttempt, VersionOptions};
 
+/// How long a lock waiter sleeps between checks of the lock field.
+const LOCK_POLL_INTERVAL: Duration = Duration::from_millis(1);
+
 /// A super-file update in progress: the top-locked super-file version plus the
 /// inner-locked sub-file versions opened so far.
 ///
@@ -152,7 +155,7 @@ impl FileService {
                 self.recover_locked_version(block)?;
                 return Ok(());
             }
-            std::thread::sleep(self.config.lock_poll_interval);
+            std::thread::sleep(LOCK_POLL_INTERVAL);
         }
     }
 
@@ -601,7 +604,7 @@ impl FileService {
             if start.elapsed() > timeout {
                 return Ok(false);
             }
-            std::thread::sleep(self.config.lock_poll_interval);
+            std::thread::sleep(LOCK_POLL_INTERVAL);
         }
         Ok(true)
     }

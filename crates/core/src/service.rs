@@ -49,8 +49,6 @@ pub struct ServiceConfig {
     /// Stride of the object-id namespace (see [`ServiceConfig::object_id_offset`]).
     /// The default `1` reproduces the unsharded dense namespace.
     pub object_id_stride: u64,
-    /// How long a lock waiter sleeps between checks of the lock field.
-    pub lock_poll_interval: std::time::Duration,
     /// How long a waiter keeps retrying before concluding the lock holder is gone and
     /// running crash recovery on the lock.
     pub lock_patience: std::time::Duration,
@@ -63,7 +61,6 @@ impl Default for ServiceConfig {
             history_retention: 8,
             object_id_offset: 0,
             object_id_stride: 1,
-            lock_poll_interval: std::time::Duration::from_millis(1),
             lock_patience: std::time::Duration::from_millis(500),
         }
     }

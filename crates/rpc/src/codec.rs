@@ -1,26 +1,16 @@
 //! Length-prefixed binary framing for requests and replies.
 //!
-//! Two frame families share this module (all integers little-endian).
-//!
-//! The *plain* frames carry one transaction with no identity of their own —
-//! they are what [`LocalNetwork`](crate::LocalNetwork) conceptually exchanges
-//! and what the first-generation TCP transport put on the wire:
-//!
-//! ```text
-//! request  := u32 total_len | u32 op | capability (25 bytes) | payload
-//! reply    := u32 total_len | u8 status            | payload
-//! ```
-//!
-//! The *mux* frames add a request id (and, on requests, the destination
-//! port), so many logical request streams can interleave on one connection
-//! and replies can complete out of order:
+//! One frame family lives here (all integers little-endian).  Every frame
+//! carries a request id (and, on requests, the destination port), so many
+//! logical request streams can interleave on one connection and replies can
+//! complete out of order:
 //!
 //! ```text
 //! mux request := u32 total_len | u64 request_id | u64 port | u32 op | capability (25 bytes) | payload
 //! mux reply   := u32 total_len | u64 request_id | u8 status               | payload
 //! ```
 //!
-//! One more mux frame kind flows *against* the usual direction.  A server
+//! One more frame kind flows *against* the usual direction.  A server
 //! may push an unsolicited *callback* down a connection (today: lease
 //! breaks for cache coherence), and the client acknowledges it with an
 //! *ack* frame.  Both are distinguished from ordinary traffic by a
@@ -46,7 +36,7 @@ use crate::RpcError;
 /// Size of an encoded capability on the wire.
 const CAP_SIZE: usize = 25;
 
-/// Upper bound on the body length word of any frame either family can
+/// Upper bound on the body length word of any frame this module can
 /// produce: the largest payload plus the largest fixed header (mux request).
 /// Transports reject bigger length words before allocating.
 pub const MAX_FRAME_BODY: usize = MAX_FRAME_PAYLOAD + 8 + 8 + 4 + CAP_SIZE;
@@ -115,62 +105,6 @@ pub fn decode_mux_callback_ack(mut body: Bytes) -> Result<u64, RpcError> {
 /// rather than an ordinary request or reply.
 pub fn is_callback_frame(body: &[u8]) -> bool {
     body.len() >= 8 && body[0..8] == CALLBACK_MARKER.to_le_bytes()
-}
-
-/// Encodes a request into a self-delimiting frame.
-pub fn encode_request(req: &Request) -> Result<Bytes, RpcError> {
-    if req.payload.len() > MAX_FRAME_PAYLOAD {
-        return Err(RpcError::TooLarge(req.payload.len()));
-    }
-    let body_len = 4 + CAP_SIZE + req.payload.len();
-    let mut buf = BytesMut::with_capacity(4 + body_len);
-    buf.put_u32_le(body_len as u32);
-    buf.put_u32_le(req.op);
-    req.cap.encode(&mut buf);
-    buf.put_slice(&req.payload);
-    Ok(buf.freeze())
-}
-
-/// Decodes a request frame previously produced by [`encode_request`] (without the
-/// leading length word, which the transport strips when it reads the frame).
-pub fn decode_request(mut body: Bytes) -> Result<Request, RpcError> {
-    if body.len() < 4 + CAP_SIZE {
-        return Err(RpcError::Decode("request frame too short".into()));
-    }
-    let op = body.get_u32_le();
-    let cap = Capability::decode(&mut body)
-        .ok_or_else(|| RpcError::Decode("truncated capability".into()))?;
-    Ok(Request {
-        op,
-        cap,
-        payload: body,
-    })
-}
-
-/// Encodes a reply into a self-delimiting frame.
-pub fn encode_reply(reply: &Reply) -> Result<Bytes, RpcError> {
-    if reply.payload.len() > MAX_FRAME_PAYLOAD {
-        return Err(RpcError::TooLarge(reply.payload.len()));
-    }
-    let body_len = 1 + reply.payload.len();
-    let mut buf = BytesMut::with_capacity(4 + body_len);
-    buf.put_u32_le(body_len as u32);
-    buf.put_u8(reply.status as u8);
-    buf.put_slice(&reply.payload);
-    Ok(buf.freeze())
-}
-
-/// Decodes a reply frame body (without the leading length word).
-pub fn decode_reply(mut body: Bytes) -> Result<Reply, RpcError> {
-    if body.is_empty() {
-        return Err(RpcError::Decode("reply frame too short".into()));
-    }
-    let status = Status::from_u8(body.get_u8())
-        .ok_or_else(|| RpcError::Decode("invalid status byte".into()))?;
-    Ok(Reply {
-        status,
-        payload: body,
-    })
 }
 
 /// Encodes a multiplexed request frame: the request tagged with the id the
@@ -257,48 +191,6 @@ mod tests {
             rights: Rights::READ | Rights::WRITE,
             check: 0x1234_5678,
         }
-    }
-
-    #[test]
-    fn request_round_trip() {
-        let req = Request::new(7, sample_cap(), Bytes::from_static(b"args"));
-        let frame = encode_request(&req).unwrap();
-        // Strip the length prefix as the transport would.
-        let body = frame.slice(4..);
-        let decoded = decode_request(body).unwrap();
-        assert_eq!(decoded, req);
-    }
-
-    #[test]
-    fn reply_round_trip() {
-        let reply = Reply::error(Bytes::from_static(b"nope"));
-        let frame = encode_reply(&reply).unwrap();
-        let decoded = decode_reply(frame.slice(4..)).unwrap();
-        assert_eq!(decoded, reply);
-    }
-
-    #[test]
-    fn oversized_payload_is_rejected() {
-        let req = Request::new(
-            1,
-            sample_cap(),
-            Bytes::from(vec![0u8; MAX_FRAME_PAYLOAD + 1]),
-        );
-        assert!(matches!(encode_request(&req), Err(RpcError::TooLarge(_))));
-    }
-
-    #[test]
-    fn truncated_frames_are_rejected() {
-        assert!(decode_request(Bytes::from_static(b"xx")).is_err());
-        assert!(decode_reply(Bytes::new()).is_err());
-    }
-
-    #[test]
-    fn length_prefix_matches_body() {
-        let req = Request::new(3, sample_cap(), Bytes::from_static(b"abc"));
-        let frame = encode_request(&req).unwrap();
-        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap()) as usize;
-        assert_eq!(len, frame.len() - 4);
     }
 
     #[test]

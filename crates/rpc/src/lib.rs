@@ -35,8 +35,8 @@
 //! This crate provides:
 //!
 //! * [`Request`] / [`Reply`] message frames with a binary wire codec (hand-rolled on
-//!   `bytes`, length-prefixed, capability-carrying), in plain and id-tagged
-//!   multiplexed ([`codec`]) flavours,
+//!   `bytes`, length-prefixed, capability-carrying, id-tagged for
+//!   multiplexing: [`codec`]),
 //! * the [`Transport`] trait — `transact(port, request) -> reply`,
 //! * [`mux`] — the multiplexing engine: [`mux::MuxCore`] (request-id
 //!   allocation, the pending-reply table, per-request deadlines, out-of-order

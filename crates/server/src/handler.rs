@@ -11,6 +11,11 @@
 //! * `Commit` settles the file's leases (break + await acks) before the
 //!   service commits, so no client can still be serving the old value under
 //!   a lease once the commit is acknowledged.
+//!
+//! The settle runs here, in this handler's `Commit` arm, and nowhere else.
+//! A commit made by calling `FileService::commit` in process settles no
+//! leases: for example one made by a `DirServerHandler` whose store is the
+//! `FileService` itself rather than a `RemoteFs` to it.
 
 use std::sync::Arc;
 

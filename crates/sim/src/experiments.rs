@@ -9,7 +9,7 @@
 //! |---|---|
 //! | E1 | OCC vs locking vs timestamps across conflict levels (§3.1, §6) |
 //! | E2 | cost of the serialisability test vs overlap and file size (§5.2, §5.4) |
-//! | E3 | cache validation without unsolicited messages (§5.4) |
+//! | E3 | cache validation without unsolicited messages, vs lease-break callbacks (§5.4) |
 //! | E4 | crash recovery work (§3.1, §6) |
 //! | E5 | commit scaling — the critical section is one test-and-set (§5.2) |
 //! | E6 | super-file updates — locking vs pure OCC (§5.3, §6) |
@@ -22,19 +22,23 @@
 //! | E14 | write-once (optical) media (§6) |
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
 use afs_baselines::{
-    AmoebaAdapter, CallbackCacheServer, ConcurrencyControl, TimestampOrderingServer,
-    TwoPhaseLockingServer, TxProfile,
+    AmoebaAdapter, ConcurrencyControl, TimestampOrderingServer, TwoPhaseLockingServer, TxProfile,
 };
-use afs_core::{FileService, PagePath, Port, ServiceConfig, VersionOptions};
+use afs_client::RemoteFs;
+use afs_core::{
+    FileService, FileStore, PagePath, Port, ServiceConfig, VersionOptions, NOTHING_CACHED,
+};
+use afs_server::{LeaseManager, ServerProcess};
 use afs_workload::{airline_mix, compiler_temp_mix, AccessDistribution, MixConfig};
 use amoeba_block::{
     BlockServer, BlockStore, FaultyStore, MemStore, ReplicatedBlockStore, WriteOnceStore,
 };
+use amoeba_rpc::{LocalNetwork, Transport};
 
 use crate::driver::{run_workload, RunConfig};
 
@@ -286,71 +290,86 @@ impl std::fmt::Display for CacheRow {
     }
 }
 
-/// Experiment E3: Amoeba's validate-on-use cache vs the XDFS-style callback cache.
+/// Experiment E3: Amoeba's validate-on-use cache vs a cache kept coherent by
+/// server→client callbacks, the XDFS design §5.4 rejects.
+///
+/// Both rows run the real client and server: a reader [`RemoteFs`] caches a
+/// `cached_pages`-page file, a writer commits `remote_updates` one-page
+/// updates, and the reader then revalidates.  The `amoeba-validate` reader
+/// talks over the plain [`LocalNetwork`] transport, which has no callback
+/// channel, so the server never grants it a lease.  The `lease-callbacks`
+/// reader holds a connection, so its first validation is granted a lease and
+/// the writer's commit must break it with a pushed frame before committing.
+/// [`LocalConn`](amoeba_rpc::LocalConn) delivers and acks those frames on the
+/// committing thread, so the counts are deterministic.
 pub fn e3_cache_validation(cached_pages: usize, remote_updates: usize) -> Vec<CacheRow> {
-    let mut rows = Vec::new();
-
-    // Amoeba: fill a cache, let other clients update some pages, validate once.
-    {
-        let service = FileService::in_memory();
-        let file = service.create_file().unwrap();
-        let v0 = service.create_version(&file).unwrap();
-        let mut paths = Vec::new();
-        for i in 0..cached_pages {
-            paths.push(
-                service
-                    .append_page(&v0, &PagePath::root(), Bytes::from(vec![i as u8]))
-                    .unwrap(),
-            );
-        }
-        service.commit(&v0).unwrap();
-        let cached_version = service.current_version_block(&file).unwrap();
-        for i in 0..remote_updates {
-            let v = service.create_version(&file).unwrap();
-            service
-                .write_page(&v, &paths[i % cached_pages], Bytes::from_static(b"remote"))
-                .unwrap();
-            service.commit(&v).unwrap();
-        }
-        let validation = service.validate_cache(&file, cached_version).unwrap();
-        let discarded = paths.iter().filter(|p| !validation.keeps(p)).count();
-        rows.push(CacheRow {
-            strategy: "amoeba-validate",
+    vec![
+        e3_row("amoeba-validate", Arc::clone, cached_pages, remote_updates),
+        e3_row(
+            "lease-callbacks",
+            |network| network.connect(),
+            cached_pages,
             remote_updates,
-            unsolicited_messages: 0,
-            discarded_pages: discarded,
-            retained_pages: cached_pages - discarded,
-        });
-    }
+        ),
+    ]
+}
 
-    // XDFS style: the same access pattern with invalidation callbacks.
-    {
-        let server = CallbackCacheServer::new();
-        server.create_file(1, cached_pages as u32, 64);
-        let client = server.connect();
-        for page in 0..cached_pages as u32 {
-            client.read(1, page).unwrap();
-        }
-        for i in 0..remote_updates {
-            server.write(1, (i % cached_pages) as u32, Bytes::from_static(b"remote"));
-        }
-        let unsolicited = server
-            .stats
-            .callbacks_sent
-            .load(std::sync::atomic::Ordering::Relaxed);
-        // Touch one page so the client drains its mailbox and we can count what is
-        // left in its cache.
-        client.read(1, 0).unwrap();
-        let retained = client.cached_pages();
-        rows.push(CacheRow {
-            strategy: "xdfs-callbacks",
-            remote_updates,
-            unsolicited_messages: unsolicited,
-            discarded_pages: cached_pages.saturating_sub(retained),
-            retained_pages: retained,
-        });
+/// One E3 row: the reader and writer reach one server process through
+/// transports made by `connect`.
+fn e3_row<T: Transport>(
+    strategy: &'static str,
+    connect: impl Fn(&Arc<LocalNetwork>) -> T,
+    cached_pages: usize,
+    remote_updates: usize,
+) -> CacheRow {
+    let network = Arc::new(LocalNetwork::new());
+    // Retain every version the run commits: retiring the cached one would
+    // make validation answer "discard everything" and measure retention.
+    let service = FileService::with_config(
+        Arc::new(BlockServer::new(Arc::new(MemStore::new()))),
+        ServiceConfig {
+            history_retention: remote_updates + 1,
+            ..ServiceConfig::default()
+        },
+    );
+    // A lease outlives the run, so only a break can end it.
+    let lease = Arc::new(LeaseManager::with_ttl(Duration::from_secs(3600)));
+    let server = ServerProcess::start_with_lease_manager(Arc::clone(&network), service, lease);
+    let writer = RemoteFs::new(connect(&network), vec![server.port()]);
+    let reader = RemoteFs::new(connect(&network), vec![server.port()]);
+
+    let file = writer.create_file().unwrap();
+    let v0 = writer.create_version(&file).unwrap();
+    let paths: Vec<PagePath> = (0..cached_pages)
+        .map(|i| {
+            writer
+                .append_page(&v0, &PagePath::root(), Bytes::from(vec![i as u8]))
+                .unwrap()
+        })
+        .collect();
+    writer.commit(&v0).unwrap();
+    // The reader fills its cache from the current version.
+    let cached_block = reader
+        .validate_cache(&file, NOTHING_CACHED)
+        .unwrap()
+        .current_block;
+    for i in 0..remote_updates {
+        let v = writer.create_version(&file).unwrap();
+        writer
+            .write_page(&v, &paths[i % cached_pages], Bytes::from_static(b"remote"))
+            .unwrap();
+        writer.commit(&v).unwrap();
     }
-    rows
+    let unsolicited_messages = reader.stats().leases_broken;
+    let validation = reader.validate_cache(&file, cached_block).unwrap();
+    let discarded = paths.iter().filter(|p| !validation.keeps(p)).count();
+    CacheRow {
+        strategy,
+        remote_updates,
+        unsolicited_messages,
+        discarded_pages: discarded,
+        retained_pages: cached_pages - discarded,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1428,18 +1447,25 @@ mod tests {
 
     #[test]
     fn e3_amoeba_needs_no_unsolicited_messages() {
-        let rows = e3_cache_validation(8, 4);
-        let amoeba = rows
-            .iter()
-            .find(|r| r.strategy == "amoeba-validate")
-            .unwrap();
-        let xdfs = rows
-            .iter()
-            .find(|r| r.strategy == "xdfs-callbacks")
-            .unwrap();
-        assert_eq!(amoeba.unsolicited_messages, 0);
-        assert!(xdfs.unsolicited_messages > 0);
-        assert!(amoeba.retained_pages >= 4);
+        // Below and above the default history retention of 8 updates: the
+        // validation must discard exactly the written pages either way.
+        for (cached, updates) in [(8, 4), (64, 16)] {
+            let rows = e3_cache_validation(cached, updates);
+            let amoeba = rows
+                .iter()
+                .find(|r| r.strategy == "amoeba-validate")
+                .unwrap();
+            let leases = rows
+                .iter()
+                .find(|r| r.strategy == "lease-callbacks")
+                .unwrap();
+            assert_eq!(amoeba.unsolicited_messages, 0);
+            assert!(leases.unsolicited_messages >= 1, "{leases:?}");
+            for row in [amoeba, leases] {
+                assert_eq!(row.discarded_pages, updates.min(cached), "{row:?}");
+                assert_eq!(row.retained_pages, cached - updates.min(cached), "{row:?}");
+            }
+        }
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //!   against the trait runs over the wire unchanged, with k-page updates in
 //!   O(1) round trips; [`afs_server::ShardedCluster`] launches the full
 //!   multi-server topology and [`afs_client::ShardedStore`] routes over it),
-//! * [`afs_baselines`] — the 2PL, timestamp-ordering and callback-cache comparators,
+//! * [`afs_baselines`] — the 2PL and timestamp-ordering comparators,
 //!   plus [`afs_baselines::StoreAdapter`], which drives any `FileStore` through
 //!   the uniform experiment interface,
 //! * [`afs_workload`] / [`afs_sim`] — workload generators and the experiment harness.

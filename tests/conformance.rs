@@ -379,10 +379,12 @@ fn sharded_remote_store_conforms_over_tcp() {
             ServiceConfig::default(),
         );
         let server = TcpServer::bind("127.0.0.1:0").expect("bind shard server");
+        // One handler, so both ports share the service's one lease table.
+        let handler = Arc::new(FileServerHandler::new(Arc::clone(&service)));
         let ports: Vec<Port> = (0..2)
             .map(|_| {
                 let port = Port::random();
-                server.register(port, Arc::new(FileServerHandler::new(Arc::clone(&service))));
+                server.register(port, Arc::clone(&handler) as _);
                 port
             })
             .collect();
@@ -1227,10 +1229,12 @@ fn named_paths_survive_any_single_replica_kill_and_resync_over_tcp() {
             },
         );
         let server = TcpServer::bind("127.0.0.1:0").expect("bind shard server");
+        // One handler, so both ports share the service's one lease table.
+        let handler = Arc::new(FileServerHandler::new(Arc::clone(&service)));
         let ports: Vec<Port> = (0..2)
             .map(|_| {
                 let port = Port::random();
-                server.register(port, Arc::new(FileServerHandler::new(Arc::clone(&service))));
+                server.register(port, Arc::clone(&handler) as _);
                 port
             })
             .collect();
@@ -1398,6 +1402,58 @@ fn leased_warm_reads_and_resolves_cost_exactly_zero_rpcs() {
         0,
         "16 warm revalidated resolves under live leases must cost zero RPCs"
     );
+}
+
+/// A service has one lease table, however many ports front it: a lease
+/// granted through port 0 of a group is broken by a commit through port 1,
+/// and the holder's next revalidation costs one round trip and returns the
+/// new version.
+#[test]
+fn a_lease_granted_through_one_port_is_broken_by_a_commit_through_another() {
+    let network = Arc::new(LocalNetwork::new());
+    let service = FileService::in_memory();
+    let group = ServerGroup::start(&network, &service, 2);
+    let (p0, p1) = (group.process(0).port(), group.process(1).port());
+    let counting = Arc::new(CountingTransport::new(network.connect()));
+    let reader = RemoteFs::new(Arc::clone(&counting), vec![p0]);
+    let writer = RemoteFs::new(network.connect(), vec![p1]);
+
+    let file = writer.create_file().unwrap();
+    let v = writer.create_version(&file).unwrap();
+    let page = writer
+        .append_page(&v, &PagePath::root(), Bytes::from_static(b"old"))
+        .unwrap();
+    writer.commit(&v).unwrap();
+
+    let cached = reader
+        .validate_cache(&file, afs_core::NOTHING_CACHED)
+        .unwrap()
+        .current_block;
+    let before = counting.round_trips();
+    assert!(reader.validate_cache(&file, cached).unwrap().up_to_date);
+    assert_eq!(counting.round_trips() - before, 0, "leased through p0");
+
+    let broken = reader.stats().leases_broken;
+    let w = writer.create_version(&file).unwrap();
+    writer
+        .write_page(&w, &page, Bytes::from_static(b"new"))
+        .unwrap();
+    writer.commit(&w).unwrap();
+    assert_eq!(
+        reader.stats().leases_broken,
+        broken + 1,
+        "the commit through p1 must break the lease granted through p0"
+    );
+
+    let before = counting.round_trips();
+    let validation = reader.validate_cache(&file, cached).unwrap();
+    assert_eq!(counting.round_trips() - before, 1);
+    assert!(!validation.up_to_date);
+    assert_eq!(
+        validation.current_block,
+        service.current_version_block(&file).unwrap()
+    );
+    assert!(!validation.keeps(&page));
 }
 
 /// The tentpole's hard invariant: a lease never lets a client observe
