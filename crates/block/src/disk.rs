@@ -220,11 +220,15 @@ impl BlockStore for FileStore {
 
     fn write_batch(&self, writes: &[(BlockNr, Bytes)]) -> Result<()> {
         // Validate every entry before touching the disk, then scatter all the
-        // slots and pay for a single `fsync` at the end — the scatter-gather
-        // win a per-block loop cannot have.  Slots are written in entry order,
-        // so a crash mid-batch leaves a prefix applied (children before
-        // parents, by the flush discipline of the caller).  A free entry is
-        // allocated by its write (write-allocate), just before its slot is.
+        // slots — the scatter-gather win a per-block loop cannot have.  Slots
+        // are written in entry order, so a crash mid-batch leaves a prefix
+        // applied (children before parents, by the flush discipline of the
+        // caller).  The host may reorder unsynced writes, so with syncing on
+        // the last entry is written only after an `fsync` of the others: a
+        // commit reference never reaches the disk before the pages it
+        // publishes.  A second `fsync` makes the whole batch durable.  A free
+        // entry is allocated by its write (write-allocate), just before its
+        // slot is.
         for (nr, data) in writes {
             self.check_nr(*nr)?;
             if data.len() > self.block_size {
@@ -235,7 +239,10 @@ impl BlockStore for FileStore {
             }
         }
         let mut inner = self.inner.lock();
-        for (nr, data) in writes {
+        for (i, (nr, data)) in writes.iter().enumerate() {
+            if self.sync_writes && i > 0 && i + 1 == writes.len() {
+                inner.file.sync_data()?;
+            }
             if !inner.allocated[*nr as usize] {
                 inner.allocated[*nr as usize] = true;
                 inner.stats.allocations += 1;
@@ -381,6 +388,31 @@ mod tests {
             Err(BlockError::NoSuchBlock(9))
         );
         assert!(!store.is_allocated(4));
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_synced_batch_applies_every_entry_in_order() {
+        let path = std::env::temp_dir().join(format!(
+            "afs-filestore-{}-{}.bin",
+            std::process::id(),
+            rand::random::<u64>()
+        ));
+        let store = FileStore::create(&path, 64, 8, true).unwrap();
+        // The same block twice: the later entry is the one that stays.
+        store
+            .write_batch(&[
+                (1, Bytes::from_static(b"child")),
+                (2, Bytes::from_static(b"first")),
+                (2, Bytes::from_static(b"commit reference")),
+            ])
+            .unwrap();
+        assert_eq!(store.read(1).unwrap(), Bytes::from_static(b"child"));
+        assert_eq!(
+            store.read(2).unwrap(),
+            Bytes::from_static(b"commit reference")
+        );
+        assert_eq!((store.stats().writes, store.stats().write_calls), (3, 1));
         std::fs::remove_file(path).ok();
     }
 

@@ -74,7 +74,9 @@
 //! `write_batch` allocates the entries it does not hold yet (write-allocate:
 //! the paper's §4 allocate-and-write, folded into the batch write).  Reads of
 //! a number nobody has written yet are answered from the table.
-//! [`BlockStore::free`] returns once the free is appended.
+//! [`BlockStore::free`] returns once the free is appended and no In member
+//! has more than a fixed number of entries before it left to apply, so a
+//! member that falls behind on its frees holds a bounded backlog.
 //!
 //! The store implements [`BlockStore`], so a whole `FileService` — one shard of
 //! the sharded deployment — runs over a replica set by handing
@@ -94,6 +96,15 @@ use crate::{BlockError, BlockNr, Result, MAX_BLOCK_NR};
 
 /// One put batch, shared between the log and its caller.
 type Writes = Arc<Vec<(BlockNr, Bytes)>>;
+
+/// How many log entries an In member may have left unapplied before a free
+/// it has not reached yet: [`BlockStore::free`] waits while any In member is
+/// further behind.  A member that also serves every read falls behind on its
+/// frees under a commit stream that retires as much as it writes, and every
+/// free it has not applied keeps a block allocated on its disk and the
+/// number out of reuse.  This keeps that to about 64 MiB of 4 KiB blocks
+/// per member.
+const FREE_BACKLOG: u64 = 16384;
 
 /// One replicated operation.
 #[derive(Clone)]
@@ -490,8 +501,9 @@ impl Shared {
 /// One of replica `idx`'s two workers — its put worker with `puts`, else
 /// its free worker: applies the log to its disk, one entry at a time, in the
 /// order [`Log::next`] picks.  The put worker being the only code that puts
-/// there is what keeps "version page strictly last" true per replica even
-/// though the coordinator acks at quorum and stops waiting.
+/// there, one whole batch at a time, is what keeps a commit batch's order
+/// (its commit reference last) true per replica even though the coordinator
+/// acks at quorum and stops waiting.
 fn worker(shared: Arc<Shared>, idx: usize, puts: bool) {
     loop {
         let mut log = shared.log.lock();
@@ -1008,8 +1020,23 @@ impl BlockStore for ReplicatedBlockStore {
             .intentions_recorded
             .fetch_add((view.len() - members) as u64, Ordering::Relaxed);
         drop(view);
-        drop(log);
+        // Bound the backlog of the In members only: one that is Out or
+        // Resyncing keeps its whole suffix, and never delays a commit.
+        let backlogged = |log: &mut Log| {
+            let members = self.shared.membership.members();
+            members
+                .into_iter()
+                .any(|idx| log.position(idx).1 + FREE_BACKLOG < at)
+        };
+        if !backlogged(&mut log) {
+            drop(log);
+            self.shared.wake_all(false);
+            return Ok(());
+        }
         self.shared.wake_all(false);
+        while backlogged(&mut log) {
+            self.shared.progressed.wait(&mut log);
+        }
         Ok(())
     }
 
@@ -2086,6 +2113,76 @@ mod tests {
         });
         assert!(!held.is_allocated(doomed));
         assert_eq!(held.read(kept).unwrap(), Bytes::from_static(b"new"));
+        assert!(replicas.divergent_blocks().is_empty());
+    }
+
+    /// A held set with `n` written blocks, applied everywhere.
+    fn held_set_with_blocks(n: usize) -> (Arc<HeldDisk>, Arc<ReplicatedBlockStore>, Vec<BlockNr>) {
+        let (held, replicas) = held_set();
+        let blocks: Vec<BlockNr> = (0..n).map(|_| replicas.allocate().unwrap()).collect();
+        let writes: Vec<(BlockNr, Bytes)> = blocks
+            .iter()
+            .map(|&nr| (nr, Bytes::from_static(b"retired")))
+            .collect();
+        replicas.write_batch(&writes).unwrap();
+        replicas.quiesce();
+        (held, replicas, blocks)
+    }
+
+    #[test]
+    fn a_free_past_the_backlog_bound_waits_for_an_in_member_to_catch_up() {
+        let bound = FREE_BACKLOG as usize;
+        let (held, replicas, blocks) = held_set_with_blocks(bound + 2);
+        held.hold(blocks[0]);
+        replicas.free(blocks[0]).unwrap();
+        assert!(held.wait_until(|gate| gate.begun.contains(&blocks[0])));
+        // Member 0's free position rests on the held free, so the next
+        // `bound` frees are within the bound and return at once.
+        for &nr in &blocks[1..=bound] {
+            replicas.free(nr).unwrap();
+        }
+        std::thread::scope(|scope| {
+            let past = scope.spawn(|| replicas.free(blocks[bound + 1]));
+            // The pause only gives a free that does not wait time to show it.
+            std::thread::sleep(Duration::from_millis(100));
+            assert!(
+                !past.is_finished(),
+                "a free returned with an In member {} entries behind it",
+                bound + 1
+            );
+            held.release(blocks[0]);
+            past.join().unwrap().unwrap();
+        });
+        assert!(!replicas.is_down(0));
+        assert_eq!(replicas.allocated_count(), 0);
+        assert!(replicas.divergent_blocks().is_empty());
+    }
+
+    #[test]
+    fn a_deposed_member_never_holds_back_a_free() {
+        let bound = FREE_BACKLOG as usize;
+        let (held, replicas, blocks) = held_set_with_blocks(bound + 2);
+        held.hold(blocks[0]);
+        replicas.free(blocks[0]).unwrap();
+        assert!(held.wait_until(|gate| gate.begun.contains(&blocks[0])));
+        replicas.crash(0);
+        // Off the caller's thread, so a free that waits on the deposed
+        // member fails the test instead of hanging it.
+        let (done, finished) = std::sync::mpsc::channel();
+        let frees = Arc::clone(&replicas);
+        let rest = blocks[1..].to_vec();
+        let freeing = std::thread::spawn(move || {
+            for nr in rest {
+                frees.free(nr).unwrap();
+            }
+            done.send(()).unwrap();
+        });
+        let returned = finished.recv_timeout(Duration::from_secs(10)).is_ok();
+        held.release(blocks[0]);
+        assert!(returned, "a free waited on a member that is Out");
+        freeing.join().unwrap();
+        replicas.resync(0).unwrap();
+        assert_eq!(replicas.allocated_count(), 0);
         assert!(replicas.divergent_blocks().is_empty());
     }
 

@@ -91,11 +91,16 @@ pub trait BlockStore: Send + Sync {
     /// A number the store can never hold (out of range, or no space left)
     /// fails the call.
     ///
-    /// Each individual block write keeps the atomicity guarantee of
-    /// [`BlockStore::write`]; the batch as a whole is *not* atomic — a crash
-    /// mid-batch may leave a strict prefix of the entries applied (and
-    /// allocated), which is why the commit flush orders children before
-    /// parents.  The default implementation loops over the entries with
+    /// **Durability order:** entries are applied in order, and the last entry
+    /// becomes durable only after every earlier one.  Each individual block
+    /// write keeps the atomicity guarantee of [`BlockStore::write`]; the batch
+    /// as a whole is *not* atomic — a crash mid-batch may leave a strict
+    /// prefix of the entries applied (and allocated).  A commit relies on
+    /// this: its batch is its pages, children first, then the base page with
+    /// the commit reference that publishes them, last.  Crash recovery
+    /// discards uncommitted versions, so the only order that matters is that
+    /// the commit reference comes after the pages.  The default implementation
+    /// loops over the entries with
     /// `is_allocated`, `allocate_at` and `write`; native implementations take
     /// their lock (or ship their RPC, or seek their disk head) once per batch,
     /// so a k-block flush costs one physical call instead of k.  Counted as a

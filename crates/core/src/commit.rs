@@ -67,9 +67,10 @@ impl FileService {
 
         // "First it ascertains that all of V.b's pages are safely on disk."  Page
         // writes land in the write-back buffer, so this is where durability is
-        // established: flush every dirty page, children before parents, version
-        // page last, so no durable page ever references an unwritten one.
-        self.flush_version_to_disk(&mut meta)?;
+        // established: every dirty page, children before parents, version page
+        // last, rides ahead of the commit reference in one ordered batch, so no
+        // durable page ever references an unwritten one.
+        let order = self.flush_order(&mut meta)?;
 
         let my_page = self.pages.read_page(my_block)?;
         let mut base_block = my_page
@@ -82,31 +83,40 @@ impl FileService {
             pages_compared: 0,
         };
 
-        loop {
-            // The only critical section in version commit: test and set the commit
-            // reference of the base version page.
-            let successor = self.try_set_commit_reference(base_block, my_block)?;
-            match successor {
-                None => break, // We are the new current version.
-                Some(successor_block) => {
-                    receipt.fast_path = false;
-                    receipt.validations += 1;
-                    let report = self.serialise_and_merge(&mut meta, my_block, successor_block)?;
-                    receipt.pages_compared += report.pages_compared;
-                    self.commit_stats
-                        .pages_compared
-                        .fetch_add(report.pages_compared as u64, Ordering::Relaxed);
-                    if !report.serialisable {
-                        drop(meta);
-                        self.remove_conflicting_version(&meta_arc, version_cap)?;
-                        self.commit_stats.conflicts.fetch_add(1, Ordering::Relaxed);
-                        return Err(FsError::SerialisabilityConflict);
-                    }
-                    // The updates are serialisable; V.b now succeeds the version that
-                    // superseded its original base.  Try again against it.
-                    base_block = successor_block;
-                }
+        // The only critical section in version commit: test and set the commit
+        // reference of the base version page.
+        let mut successor = self.try_set_commit_reference(base_block, my_block, &order)?;
+        if successor.is_some() {
+            // The failed test wrote nothing.  The merge below writes through
+            // to pages that must be durable first.
+            self.pages.flush_blocks_batched(order)?;
+        }
+        // The dirty set is only cleared once its pages are durable: a
+        // transient block-store failure above leaves it intact, so a retried
+        // commit stores them instead of "committing" a version whose pages
+        // were never written.
+        meta.dirty_blocks.clear();
+        while let Some(successor_block) = successor {
+            receipt.fast_path = false;
+            receipt.validations += 1;
+            self.commit_stats
+                .validations
+                .fetch_add(1, Ordering::Relaxed);
+            let report = self.serialise_and_merge(&mut meta, my_block, successor_block)?;
+            receipt.pages_compared += report.pages_compared;
+            self.commit_stats
+                .pages_compared
+                .fetch_add(report.pages_compared as u64, Ordering::Relaxed);
+            if !report.serialisable {
+                drop(meta);
+                self.remove_conflicting_version(&meta_arc, version_cap)?;
+                self.commit_stats.conflicts.fetch_add(1, Ordering::Relaxed);
+                return Err(FsError::SerialisabilityConflict);
             }
+            // The updates are serialisable; V.b now succeeds the version that
+            // superseded its original base.  Try again against it.
+            base_block = successor_block;
+            successor = self.try_set_commit_reference(base_block, my_block, &[])?;
         }
 
         // Commit succeeded.  The version is linked into its file's chain whatever
@@ -122,7 +132,7 @@ impl FileService {
         // the rare case something actually set one; the read-only probe costs
         // neither a physical write nor a page copy on the common fast path.  It
         // runs before the version is linked, while no retirement can reach it.
-        let cleared = self.pages.update_page(my_block, |page| {
+        let cleared = self.pages.update_page(my_block, &[], |page| {
             let header = page
                 .version
                 .as_ref()
@@ -178,60 +188,39 @@ impl FileService {
         Ok(())
     }
 
-    /// Makes every buffered page reachable from the version page durable, in an
-    /// order that keeps the on-disk state self-consistent at all times: children
-    /// before parents, the version page last.  The walk follows *buffered* blocks,
-    /// not just the version's own dirty set, so committing a super-file version
-    /// also flushes the sub-file version pages its tree references — a durable
-    /// committed page must never point at an unwritten block.  Buffered blocks of
-    /// this version that are no longer reachable (their references were removed
-    /// again before commit) are freed without ever being written.  Returns the
-    /// number of pages flushed.
+    /// The order in which a commit stores the buffered pages reachable from
+    /// the version page: children before parents, the version page last.  The
+    /// walk follows *buffered* blocks, not just the version's own dirty set,
+    /// so committing a super-file version also stores the sub-file version
+    /// pages its tree references — a durable committed page must never point
+    /// at an unwritten block.  Buffered blocks of this version that are no
+    /// longer reachable (their references were removed again before commit)
+    /// are freed without ever being written.
     ///
-    /// The physical shape is **one scatter-gather batch of all data pages, then
-    /// the version page by itself**: two block-write calls per commit instead of
-    /// one per dirty page, and over replicated storage two RPCs per replica.
-    /// The children-first order is preserved *inside* the batch and stores
-    /// apply batch entries in order, so a crash mid-batch leaves only a
-    /// children-first prefix durable; keeping the version page out of the batch
-    /// keeps it strictly last — it becomes durable only after every data page
-    /// it references.
+    /// The commit stores the pages in this order as **one batch**, with the
+    /// base page carrying the new commit reference as its last entry (see
+    /// [`PageIo::update_page`](crate::pageio::PageIo::update_page)): one
+    /// block-write call per commit, and over replicated storage one RPC per
+    /// replica.  Stores apply batch entries in order, and the last entry
+    /// becomes durable only after every earlier one, so a crash mid-batch
+    /// leaves a children-first prefix durable and the commit reference
+    /// never points at a version page that is not on disk.  A failed test
+    /// writes nothing; the same pages then go as one batch of their own.
     ///
-    /// Over a replica set each call is acknowledged once a majority of the
-    /// current membership epoch applied it, so the strictly-last guarantee
-    /// holds **per acknowledged quorum** rather than per replica: the
-    /// version-page call is issued only after the data batch was quorum-acked,
-    /// each replica receives both through one FIFO stream (never the version
-    /// page before the data), and a replica that missed either is barred from
-    /// reads until an epoch-stamped resync replays its ordered intentions.  Any
-    /// replica eligible to serve a read therefore saw the version page only
-    /// after every page it references — the same invariant, quorum-wide.
-    pub(crate) fn flush_version_to_disk(&self, meta: &mut VersionMeta) -> Result<usize> {
+    /// Over a replica set the batch is acknowledged once a majority of the
+    /// current membership epoch applied it.  Each replica applies its log in
+    /// order, one batch at a time, and a replica that missed any of the batch
+    /// is barred from reads until an epoch-stamped resync replays it whole.
+    /// Any replica eligible to serve a read therefore saw the commit reference
+    /// only after every page it publishes — the same invariant, quorum-wide.
+    fn flush_order(&self, meta: &mut VersionMeta) -> Result<Vec<BlockNr>> {
         if meta.dirty_blocks.is_empty() {
-            return Ok(0);
+            return Ok(Vec::new());
         }
-        // The dirty set is only cleared once the flush succeeded: a transient
-        // block-store failure leaves it intact, so a retried commit flushes the
-        // remaining pages instead of "committing" a version whose pages were
-        // never made durable.  (Already-flushed blocks are no longer in the
-        // buffer; re-flushing them is a no-op, and a batch retried after a
-        // partial failure re-puts its prefix idempotently.)
         let mut order = Vec::with_capacity(meta.dirty_blocks.len());
         let mut visited = std::collections::HashSet::new();
         self.collect_flush_order(meta.block, &mut visited, &mut order)?;
-        let flushed = match order.split_last() {
-            // The walk pushes its root — the version page — last.
-            Some((&version_page, data_pages)) => {
-                let mut flushed = self
-                    .pages
-                    .flush_blocks_batched(data_pages.iter().copied())?;
-                flushed += self.pages.flush_blocks_batched([version_page])?;
-                flushed
-            }
-            None => 0,
-        };
-        let dirty = std::mem::take(&mut meta.dirty_blocks);
-        for nr in dirty {
+        for &nr in &meta.dirty_blocks {
             // Still buffered and not reached by the walk: never written, no
             // longer referenced — pure garbage.  (A block that is merely absent
             // from the buffer was flushed through another version's commit and
@@ -243,7 +232,7 @@ impl FileService {
                 }
             }
         }
-        Ok(flushed)
+        Ok(order)
     }
 
     /// Post-order walk over the buffered (copied) subgraph under `block`: children
@@ -270,14 +259,17 @@ impl FileService {
     /// The critical section: atomically test the commit reference of the version page
     /// at `base_block` and set it to `new_block` if it is nil.  Returns `None` on
     /// success, or the existing successor's block number if the base has already been
-    /// superseded.  A superseded version holds no lock that means anything, so
-    /// the success drops the small-file top lock on the base.
+    /// superseded.  A success stores the buffered pages of `ahead`, in order, and
+    /// then the base page, as one batch; a failure stores nothing.  A superseded
+    /// version holds no lock that means anything, so the success drops the
+    /// small-file top lock on the base.
     pub(crate) fn try_set_commit_reference(
         &self,
         base_block: BlockNr,
         new_block: BlockNr,
+        ahead: &[BlockNr],
     ) -> Result<Option<BlockNr>> {
-        self.pages.update_page(base_block, |page| {
+        self.pages.update_page(base_block, ahead, |page| {
             let header = page
                 .version
                 .as_ref()
@@ -417,7 +409,7 @@ impl FileService {
 
         // Rebase B onto C so the next commit attempt goes for C's commit reference;
         // the rebase always dirties B's version page, so it is always written back.
-        // B's pages were flushed before the first commit attempt, so merge writes
+        // B's pages were flushed after the first failed test, so merge writes
         // are write-through: the next test-and-set needs them durable.
         b_page.base_reference = Some(c_block);
         self.pages

@@ -105,22 +105,27 @@
 //! unreachable.  Path resolution and its prefix cache live in
 //! `afs_client::NamedStore`; the RPC façade in `afs_server::dir`.
 //!
-//! ## Durability at commit — one batch, then the version page
+//! ## Durability at commit — one ordered batch
 //!
 //! The paper's commit protocol establishes durability exactly once, at the atomic
 //! commit point: "First it ascertains that all of V.b's pages are safely on disk",
 //! *then* it tests and sets the commit reference.  The service therefore buffers
 //! all page writes of an uncommitted version in memory (the write-back buffer of
-//! [`pageio::PageIo`]) and flushes them at the start of [`FileService::commit`]
-//! in two physical steps:
+//! [`pageio::PageIo`]) and makes them durable in [`FileService::commit`], under
+//! the base page's block lock, in the same physical call as the test-and-set.
+//! A successful test stores **one scatter-gather
+//! [`amoeba_block::BlockStore::write_batch`] call** of
 //!
-//! 1. **every dirty data page, as one scatter-gather
-//!    [`amoeba_block::BlockStore::write_batch`] call**, with the children-first
-//!    order preserved inside the batch (stores apply batch entries in order, so
-//!    a crash mid-batch leaves a children-first prefix durable, never a parent
-//!    pointing at an unwritten child), then
-//! 2. **the version page, by itself, strictly last** — it becomes durable only
-//!    after every page it references.
+//! 1. every dirty data page, children first,
+//! 2. then the new version page,
+//! 3. then the base page with its commit reference, last.
+//!
+//! Stores apply batch entries in order, and the last entry becomes durable
+//! only after every earlier one.  A crash mid-batch therefore leaves a
+//! children-first prefix durable, never a parent pointing at an unwritten
+//! child, and never a commit reference to a version page that is not on disk.
+//! A failed test writes nothing; the data and version pages then go as one
+//! batch of their own before the serialisability test.
 //!
 //! A k-write update to one page costs 0 physical writes until commit; the commit
 //! itself writes O(dirty pages) *pages* but only O(1) physical write **calls**
@@ -128,13 +133,11 @@
 //! [`amoeba_block::StoreStats::writes`] is the realised batching factor), and
 //! over replicated storage the batch travels to each replica as one call —
 //! one `WriteBlocks` RPC per replica when the disks are behind RPC.  Under
-//! quorum commits the two-step ordering holds *per acknowledged quorum*:
-//! each replica receives the data batch and the version page in order
-//! through its FIFO stream, the version-page write is
-//! issued only after the data batch was quorum-acked, and a replica that
-//! missed either gets both as ordered intentions at resync — so any replica
-//! that serves reads saw the version page only after every page it
-//! references.  Aborted versions never touch the disk at all, and crash
+//! quorum commits the order holds *per acknowledged quorum*: each replica
+//! applies the batch in order from its log, and a replica that missed any of
+//! it replays the whole batch at resync — so any replica that serves reads
+//! saw the commit reference only after every page it publishes.  Aborted
+//! versions never touch the disk at all, and crash
 //! recovery treats an unflushed uncommitted version as aborted, which is the
 //! paper's redo rule.  This is the only staging and flush path: the commit's
 //! cost is visible in the block server's [`amoeba_block::StoreStats`].

@@ -85,7 +85,7 @@ impl FileService {
         options: VersionOptions,
         lock_port: Port,
     ) -> Result<LockAttempt> {
-        self.pages.update_page(current_block, |page| {
+        self.pages.update_page(current_block, &[], |page| {
             let header = page
                 .version
                 .as_ref()
@@ -162,7 +162,7 @@ impl FileService {
     /// Clears the top lock on `block`, durable or in memory, whoever holds it.
     /// Used when an update is abandoned (aborted version).
     pub(crate) fn clear_top_lock_if_held(&self, block: BlockNr) -> Result<()> {
-        self.pages.update_page(block, |page| {
+        self.pages.update_page(block, &[], |page| {
             self.soft_locks.lock().remove(&block);
             let header = page
                 .version
@@ -200,7 +200,7 @@ impl FileService {
             None => {
                 // Crashed before committing: clear the top lock …
                 if !holder.is_null() {
-                    self.pages.update_page(block, |p| {
+                    self.pages.update_page(block, &[], |p| {
                         let mut soft_locks = self.soft_locks.lock();
                         if soft_locks.get(&block) == Some(&holder) {
                             soft_locks.remove(&block);
@@ -266,7 +266,7 @@ impl FileService {
                     Err(_) => continue,
                 }
             };
-            let cleared = self.pages.update_page(current, |p| {
+            let cleared = self.pages.update_page(current, &[], |p| {
                 let h = p
                     .version
                     .as_mut()
@@ -304,7 +304,7 @@ impl FileService {
             if !child.is_version_page() {
                 continue;
             }
-            let cleared = self.pages.update_page(reference.block, |p| {
+            let cleared = self.pages.update_page(reference.block, &[], |p| {
                 let h = p
                     .version
                     .as_mut()
@@ -354,7 +354,7 @@ impl FileService {
             if base_header.commit_reference.is_none() {
                 // The crashed update created this sub version but never committed it;
                 // finish that commit now.
-                let result = self.try_set_commit_reference(base, reference.block)?;
+                let result = self.try_set_commit_reference(base, reference.block, &[])?;
                 if result.is_none() {
                     report.finished_commits += 1;
                     // Update the in-memory version table if we know this version.
@@ -455,7 +455,7 @@ impl FileService {
             let block = meta.lock().block;
             block
         };
-        self.pages.update_page(super_version_block, |page| {
+        self.pages.update_page(super_version_block, &[], |page| {
             let link = page.refs.iter_mut().find(|r| retained.contains(&r.block));
             if let Some(r) = link {
                 r.block = sub_version_block;
@@ -492,7 +492,7 @@ impl FileService {
         block: BlockNr,
         port: Port,
     ) -> Result<Option<Capability>> {
-        let attempt = self.pages.update_page(block, |page| {
+        let attempt = self.pages.update_page(block, &[], |page| {
             let header = page
                 .version
                 .as_mut()
@@ -562,7 +562,7 @@ impl FileService {
         if !meta.retains(block) {
             return Ok(());
         }
-        self.pages.update_page(block, |page| {
+        self.pages.update_page(block, &[], |page| {
             let header = page
                 .version
                 .as_mut()

@@ -8,10 +8,13 @@
 //!   that all of V.b's pages are safely on disk").  Page writes for uncommitted
 //!   versions therefore land in an in-memory overlay ([`PageIo::write_page_buffered`]
 //!   / [`PageIo::allocate_page_buffered`]) and are made durable by
-//!   [`crate::commit`] immediately before the commit-reference test-and-set:
-//!   one scatter-gather [`PageIo::flush_blocks_batched`] call carrying every
-//!   dirty data page (children-first order preserved inside the batch), then
-//!   the version page by itself, strictly last.  Aborts simply drop the
+//!   [`crate::commit`] in the same scatter-gather call as the commit-reference
+//!   test-and-set: [`PageIo::update_page`] carries every dirty page ahead of
+//!   the base page it sets, children first, the version page last, the commit
+//!   reference last of all.  Stores apply batch entries in order, so the
+//!   commit reference is never durable before a page it publishes.  A failed
+//!   test writes nothing, and [`PageIo::flush_blocks_batched`] then flushes
+//!   the same pages, in the same order, as one call.  Aborts simply drop the
 //!   buffer; crash recovery treats an unflushed uncommitted version as
 //!   aborted, which is exactly the paper's "uncommitted versions need not be
 //!   salvaged" rule.  The overlay is *authoritative* for the blocks it holds:
@@ -379,56 +382,67 @@ impl PageIo {
 
     /// Physically writes the buffered pages of `blocks` as **one scatter-gather
     /// block-write call**, preserving the given order within the batch, and
-    /// removes them from the write-back buffer.  Blocks with no buffered
-    /// contents are skipped.  Returns the number of pages written.
+    /// moves them from the write-back buffer to the clean cache.  Blocks with
+    /// no buffered contents are skipped.  Returns the number of pages written.
     ///
     /// The caller is responsible for ordering: [`crate::commit`] passes
-    /// children before parents and flushes the version page last, in a call of
-    /// its own.  Stores apply batch entries in order (see
-    /// [`amoeba_block::BlockStore::write_batch`]), so a crash mid-batch leaves
-    /// a children-first prefix durable, never a parent without its children.
-    /// On failure every taken page is restored to the buffer — re-flushing an
-    /// already-applied prefix is an idempotent re-put.
+    /// children before parents and the version page last.  Stores apply batch
+    /// entries in order (see [`amoeba_block::BlockStore::write_batch`]), so a
+    /// crash mid-batch leaves a children-first prefix durable, never a parent
+    /// without its children.  On failure every taken page is restored to the
+    /// buffer — re-flushing an already-applied prefix is an idempotent re-put.
     pub fn flush_blocks_batched<I: IntoIterator<Item = BlockNr>>(
         &self,
         blocks: I,
     ) -> Result<usize> {
-        let mut taken: Vec<(BlockNr, Arc<Page>)> = Vec::new();
-        let mut encoded: Vec<(BlockNr, bytes::Bytes)> = Vec::new();
-        for nr in blocks {
-            let Some(page) = self.overlay.remove(nr) else {
-                continue;
-            };
-            match page.encode() {
-                Ok(bytes) => {
-                    encoded.push((nr, bytes));
-                    taken.push((nr, page));
-                }
-                Err(e) => {
-                    self.overlay.insert(nr, page);
-                    for (nr, page) in taken {
-                        self.overlay.insert(nr, page);
-                    }
-                    return Err(e);
-                }
+        self.store_batch(blocks, None)
+    }
+
+    /// The one batched store: the buffered pages of `blocks` in order, then
+    /// `last` if given, as one [`BlockServer::write_batch`] call.  Returns the
+    /// number of pages written.
+    ///
+    /// The pages leave the buffer before the call and enter the clean cache
+    /// only after it returns.  Once `last` carries a commit reference to the
+    /// store, anyone who follows it reads the new version as committed, and
+    /// a buffered copy would be a second, writable authority for it.  No one
+    /// else reads the pages during the call: nothing references them until
+    /// the call has stored them.  On failure the pages go back to the buffer
+    /// and `last` leaves the cache, because the write may have reached part
+    /// of the store.
+    fn store_batch(
+        &self,
+        blocks: impl IntoIterator<Item = BlockNr>,
+        last: Option<(BlockNr, &Arc<Page>)>,
+    ) -> Result<usize> {
+        let taken: Vec<(BlockNr, Arc<Page>)> = blocks
+            .into_iter()
+            .filter_map(|nr| Some((nr, self.overlay.remove(nr)?)))
+            .collect();
+        match (taken.is_empty(), last) {
+            (true, None) => return Ok(0),
+            // A page of its own is a plain write, which never allocates.
+            (true, Some((nr, page))) => return self.write_page(nr, page).map(|()| 1),
+            _ => {}
+        }
+        let pages = || taken.iter().map(|(nr, page)| (*nr, page)).chain(last);
+        let stored = pages()
+            .map(|(nr, page)| Ok((nr, page.encode()?)))
+            .collect::<Result<Vec<_>>>()
+            .and_then(|encoded| Ok(self.server.write_batch(&self.account, &encoded)?));
+        if let Err(e) = stored {
+            if let (Some(cache), Some((nr, _))) = (&self.cache, last) {
+                cache.remove(nr);
             }
-        }
-        if encoded.is_empty() {
-            return Ok(0);
-        }
-        if let Err(e) = self.server.write_batch(&self.account, &encoded) {
             for (nr, page) in taken {
                 self.overlay.insert(nr, page);
             }
-            return Err(e.into());
+            return Err(e);
         }
-        let flushed = taken.len();
         if let Some(cache) = &self.cache {
-            for (nr, page) in &taken {
-                cache.insert(*nr, page);
-            }
+            pages().for_each(|(nr, page)| cache.insert(nr, page));
         }
-        Ok(flushed)
+        Ok(pages().count())
     }
 
     // ------------------------------------------------------------------
@@ -495,14 +509,23 @@ impl PageIo {
     /// lock a written page goes to the store first and to the cache second,
     /// so the cache never holds a page the store has not acknowledged.
     ///
+    /// `ahead` names buffered blocks to store in the same call, in the given
+    /// order, before the page: a commit carries its version's pages ahead of
+    /// the base page whose commit reference it sets, so one batch publishes
+    /// them (see [`PageIo::flush_blocks_batched`] for the order rule).  They
+    /// are stored only if the closure writes the page back; otherwise they
+    /// stay buffered.  Every other caller passes none.
+    ///
     /// For a block that lives in the write-back buffer the update is applied to the
     /// buffered copy under the buffer lock instead: such blocks belong to exactly
     /// one uncommitted version, and all mutation of that version is serialised by
     /// its `VersionMeta` lock (in `crate::service`), so the block-server lock
-    /// adds nothing but I/O.
+    /// adds nothing but I/O.  Such a page has no commit reference to set, and
+    /// is never given blocks to carry.
     pub fn update_page<R>(
         &self,
         nr: BlockNr,
+        ahead: &[BlockNr],
         f: impl FnOnce(&mut PageMut<'_>) -> Result<(bool, R)>,
     ) -> Result<R> {
         // Cheap read-locked membership probe first: the common case (a committed
@@ -510,6 +533,7 @@ impl PageIo {
         if self.overlay.contains(nr) {
             let mut shard = self.overlay.shard(nr).write();
             if let Some(entry) = shard.get_mut(&nr) {
+                debug_assert!(ahead.is_empty(), "a buffered page carries no blocks");
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 let mut view = PageMut::shared(entry);
                 let (write_back, value) = f(&mut view)?;
@@ -527,7 +551,7 @@ impl PageIo {
             let mut view = PageMut::shared(&page);
             let (write_back, value) = f(&mut view)?;
             if let (true, Some(written)) = (write_back, view.into_written()) {
-                self.write_page(nr, &Arc::new(written))?;
+                self.store_batch(ahead.iter().copied(), Some((nr, &Arc::new(written))))?;
             }
             Ok(value)
         })
@@ -678,7 +702,7 @@ mod tests {
         let nr = io.allocate_page_buffered(&leaf(b"shared")).unwrap();
         let original = io.read_page(nr).unwrap();
         let observed: Bytes = io
-            .update_page(nr, |page| Ok((false, page.data.clone())))
+            .update_page(nr, &[], |page| Ok((false, page.data.clone())))
             .unwrap();
         assert_eq!(observed, Bytes::from_static(b"shared"));
         // The no-mutation path must not have replaced (or copied into) the
@@ -714,7 +738,7 @@ mod tests {
             let io = Arc::clone(&io);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    io.update_page(nr, |page| {
+                    io.update_page(nr, &[], |page| {
                         let v = u64::from_le_bytes(page.data[..8].try_into().unwrap());
                         page.set_data(Bytes::from((v + 1).to_le_bytes().to_vec()))
                             .unwrap();
@@ -739,7 +763,7 @@ mod tests {
         let io = page_io(Some(16));
         let nr = io.allocate_page(&leaf(b"keep")).unwrap();
         let observed: Bytes = io
-            .update_page(nr, |page| Ok((false, page.data.clone())))
+            .update_page(nr, &[], |page| Ok((false, page.data.clone())))
             .unwrap();
         assert_eq!(observed, Bytes::from_static(b"keep"));
         assert_eq!(io.read_page(nr).unwrap().data, Bytes::from_static(b"keep"));
@@ -750,7 +774,7 @@ mod tests {
         let io = page_io(Some(16));
         let nr = io.allocate_page_buffered(&leaf(b"before")).unwrap();
         let before = io.server.stats();
-        io.update_page(nr, |page| {
+        io.update_page(nr, &[], |page| {
             page.set_data(Bytes::from_static(b"after")).unwrap();
             Ok((true, ()))
         })
@@ -766,7 +790,7 @@ mod tests {
         let nr = io.allocate_page(&leaf(b"v1")).unwrap();
         let before = io.server.stats();
         let seen = io
-            .update_page(nr, |page| {
+            .update_page(nr, &[], |page| {
                 let seen = page.data.clone();
                 page.set_data(Bytes::from_static(b"v2")).unwrap();
                 Ok((true, seen))
@@ -781,7 +805,7 @@ mod tests {
         let io = page_io(None);
         let nr = io.allocate_page(&leaf(b"v1")).unwrap();
         let before = io.server.stats();
-        io.update_page(nr, |_| Ok((false, ()))).unwrap();
+        io.update_page(nr, &[], |_| Ok((false, ()))).unwrap();
         assert_eq!(io.server.stats().since(&before).reads, 1);
     }
 
@@ -866,7 +890,7 @@ mod tests {
             let reader = scope.spawn(|| io.read_page(nr).unwrap());
             // The reader holds the old page; its reply is in flight.
             reached.recv().unwrap();
-            io.update_page(nr, |page| {
+            io.update_page(nr, &[], |page| {
                 page.set_data(Bytes::from_static(b"new")).unwrap();
                 Ok((true, ()))
             })

@@ -209,6 +209,8 @@ pub struct CommitStats {
     pub validated: AtomicU64,
     /// Commits rejected because the updates were not serialisable.
     pub conflicts: AtomicU64,
+    /// Serialisability tests run, over all commits.
+    pub validations: AtomicU64,
     /// Total pages visited by serialisability tests.
     pub pages_compared: AtomicU64,
 }
@@ -222,6 +224,8 @@ pub struct CommitStatsSnapshot {
     pub validated: u64,
     /// Commits rejected with a serialisability conflict.
     pub conflicts: u64,
+    /// Serialisability tests run, over all commits.
+    pub validations: u64,
     /// Total pages visited by serialisability tests.
     pub pages_compared: u64,
 }
@@ -354,6 +358,7 @@ impl FileService {
             fast_path: self.commit_stats.fast_path.load(Ordering::Relaxed),
             validated: self.commit_stats.validated.load(Ordering::Relaxed),
             conflicts: self.commit_stats.conflicts.load(Ordering::Relaxed),
+            validations: self.commit_stats.validations.load(Ordering::Relaxed),
             pages_compared: self.commit_stats.pages_compared.load(Ordering::Relaxed),
         }
     }
@@ -547,7 +552,7 @@ impl FileService {
         let mut parent_meta = parent_meta.lock();
         parent_meta.children.push(child_id);
         let parent_block = self.current_version_block_locked(&mut parent_meta)?;
-        self.pages.update_page(parent_block, |page| {
+        self.pages.update_page(parent_block, &[], |page| {
             page.push_ref(PageRef::shared(child_block))?;
             Ok((true, ()))
         })?;

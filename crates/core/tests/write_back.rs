@@ -46,13 +46,13 @@ fn repeated_writes_cost_o_dirty_pages_at_commit_not_o_k_depth() {
 
     service.commit(&v).unwrap();
     let total = service.block_server().stats().since(&before);
-    // The flush writes the dirty pages once each (leaf copy and interior copy
-    // in one batch, then the version page); commit adds the commit-reference
-    // test-and-set.  Writing every staged page through would cost
-    // O(K · depth) writes instead.
+    // The commit writes the dirty pages once each (leaf copy, interior copy,
+    // version page) and the base page with its commit reference, all in one
+    // batch.  Writing every staged page through would cost O(K · depth)
+    // writes instead.
     assert_eq!(
         (total.writes, total.write_calls),
-        (4, 3),
+        (4, 1),
         "expected O(dirty) physical writes for {K} logical writes, got {total:?}"
     );
 
@@ -219,20 +219,20 @@ fn a_k_dirty_page_commit_costs_o1_block_write_calls() {
     // Pages written grow with the dirty set…
     assert!(writes_large > writes_small);
     assert!(writes_large >= 32);
-    // …but the physical write calls do not: one data-page batch, one version
-    // page, one commit-reference test-and-set.
+    // …but the physical write calls do not: the data pages, the version page
+    // and the commit reference go in one batch.
     assert_eq!(
         calls_small, calls_large,
         "write calls must not grow with the dirty-page count"
     );
-    assert!(
-        calls_large <= 3,
-        "a commit is 1 batch + 1 version page + 1 test-and-set, got {calls_large}"
+    assert_eq!(
+        calls_large, 1,
+        "a commit is one batch ending in the commit reference, got {calls_large}"
     );
 }
 
 #[test]
-fn a_one_page_update_of_a_warm_file_reads_no_block_and_makes_three_write_calls() {
+fn a_one_page_update_of_a_warm_file_reads_no_block_and_makes_one_write_call() {
     let block_server = Arc::new(BlockServer::new(Arc::new(MemStore::new())));
     let service = FileService::new(Arc::clone(&block_server));
     let (file, leaf) = deep_file(&service);
@@ -254,9 +254,10 @@ fn a_one_page_update_of_a_warm_file_reads_no_block_and_makes_three_write_calls()
         update.reads, 0,
         "version pages come from memory: {update:?}"
     );
-    // The data batch, the version page, the commit reference.  The small-file
-    // top lock is held in memory, so version creation writes nothing.
-    assert_eq!(update.write_calls, 3, "{update:?}");
+    // The data page, the version page and the commit reference, in one
+    // batch.  The small-file top lock is held in memory, so version creation
+    // writes nothing.
+    assert_eq!(update.write_calls, 1, "{update:?}");
     assert!(update.frees > 0, "the commit retires a version: {update:?}");
 
     let before = block_server.stats();
@@ -334,5 +335,104 @@ fn replica_killed_mid_commit_batch_is_fully_replayed_by_resync() {
             Bytes::from(vec![i as u8; 48]),
             "committed page {i} lost on the resynced replica"
         );
+    }
+}
+
+/// The crash sweep of the commit batch over a replica set: one member's disk
+/// dies after every possible prefix of the batch (the data pages, the version
+/// page, the base page with its commit reference).  The commit is
+/// acknowledged by the other two.  Recovering and resyncing the member must
+/// bring it into agreement, and it must then serve the new version alone.
+#[test]
+fn a_member_cut_anywhere_in_the_commit_batch_resyncs_to_the_new_version() {
+    use amoeba_block::{BlockStore, FaultyStore, ReplicatedBlockStore};
+
+    let value = |page: usize, round: u8| Bytes::from(vec![round, page as u8]);
+    // A replica set of three faulty disks under a service with the page
+    // cache off, so every read below comes from a disk.  Returns the set and
+    // a committed file of two pages, quiesced.
+    let build = || {
+        let disks: Vec<Arc<FaultyStore<MemStore>>> = (0..3)
+            .map(|_| Arc::new(FaultyStore::new(MemStore::new())))
+            .collect();
+        let replicas = ReplicatedBlockStore::new(
+            disks
+                .iter()
+                .map(|d| Arc::clone(d) as Arc<dyn BlockStore>)
+                .collect(),
+        );
+        let service = FileService::with_config(
+            Arc::new(BlockServer::new(
+                Arc::clone(&replicas) as Arc<dyn BlockStore>
+            )),
+            ServiceConfig {
+                flag_cache_capacity: None,
+                ..ServiceConfig::default()
+            },
+        );
+        let file = service.create_file().unwrap();
+        let v = service.create_version(&file).unwrap();
+        let pages: Vec<PagePath> = (0..2)
+            .map(|i| {
+                service
+                    .append_page(&v, &PagePath::root(), value(i, 1))
+                    .unwrap()
+            })
+            .collect();
+        service.commit(&v).unwrap();
+        replicas.quiesce();
+        (disks, replicas, service, file, pages)
+    };
+    let update = |service: &FileService, file: &Capability, pages: &[PagePath]| {
+        let v = service.create_version(file).unwrap();
+        for (i, page) in pages.iter().enumerate() {
+            service.write_page(&v, page, value(i, 9)).unwrap();
+        }
+        service.commit(&v).unwrap();
+    };
+
+    // The batch, measured on an uncut run: two data pages, the version page
+    // and the base page on every member.  (A faulty disk applies a batch one
+    // block at a time, so only the block count is the batch's.)
+    let (disks, replicas, service, file, pages) = build();
+    let before: Vec<_> = disks.iter().map(|d| d.stats()).collect();
+    update(&service, &file, &pages);
+    replicas.quiesce();
+    let writes: Vec<u64> = disks
+        .iter()
+        .zip(&before)
+        .map(|(d, b)| d.stats().since(b).writes)
+        .collect();
+    assert_eq!(writes, vec![4; 3]);
+
+    for victim in 0..3 {
+        for cut in 0..writes[0] {
+            let (disks, replicas, service, file, pages) = build();
+            disks[victim].crash_after_writes(cut);
+            update(&service, &file, &pages);
+            replicas.quiesce();
+            assert!(replicas.is_down(victim), "member {victim}, cut {cut}");
+            disks[victim].recover();
+            replicas.resync(victim).unwrap();
+            assert_eq!(
+                replicas.divergent_blocks(),
+                Vec::<amoeba_block::BlockNr>::new(),
+                "member {victim}, cut {cut}"
+            );
+            // The resynced member alone serves the new version.
+            for other in (0..3).filter(|&i| i != victim) {
+                replicas.crash(other);
+            }
+            let current = service.current_version(&file).unwrap();
+            for (i, page) in pages.iter().enumerate() {
+                assert_eq!(
+                    service.read_committed_page(&current, page).unwrap(),
+                    value(i, 9),
+                    "member {victim}, cut {cut}: page {i}"
+                );
+            }
+            let audit = service.audit().unwrap();
+            assert_eq!((audit.leaked, audit.dangling), (0, 0), "{audit:?}");
+        }
     }
 }

@@ -15,8 +15,8 @@
 //!   and rewrites the directory's root page, so concurrent mutations of one
 //!   directory are exactly the serialisability conflicts §5.2 already handles
 //!   by redoing the loser on a fresh version;
-//! * it inherits **commit-time durability and the batched flush** (version
-//!   page strictly last) because it is just a commit;
+//! * it inherits **commit-time durability and the ordered commit batch**
+//!   (commit reference last) because it is just a commit;
 //! * it inherits **replication and resync** because the directory's blocks
 //!   live on the same replicated block stores as everything else; and
 //! * it inherits **sharded placement** because a directory's capability routes

@@ -2,18 +2,92 @@
 //! and the hot-directory rename race — concurrent renames of entries in one
 //! directory must all eventually commit through OCC retry, losing nothing.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use afs_client::ShardedStore;
-use afs_core::{FileStore, RetryPolicy};
+use afs_core::{
+    BlockNr, Bytes, CacheValidation, Capability, CommitReceipt, FileStore, PagePath, Result,
+    RetryPolicy,
+};
 use afs_dir::{DirStore, EntryKind};
 use afs_sim::{run_dir_churn, DirChurnRun};
 use amoeba_capability::Rights;
 
+/// One client's view of a shared store whose first commit waits at a barrier
+/// for every other client's first commit.  Each client has created its
+/// version before it commits, and no commit runs before the barrier opens,
+/// so the first versions of all clients share one base.
+struct FirstCommitsMeet<S> {
+    inner: S,
+    barrier: Arc<Barrier>,
+    met: AtomicBool,
+}
+
+impl<S: FileStore> FileStore for FirstCommitsMeet<S> {
+    fn create_file(&self) -> Result<Capability> {
+        self.inner.create_file()
+    }
+    fn create_version(&self, file: &Capability) -> Result<Capability> {
+        self.inner.create_version(file)
+    }
+    fn read_page(&self, version: &Capability, path: &PagePath) -> Result<Bytes> {
+        self.inner.read_page(version, path)
+    }
+    fn write_page(&self, version: &Capability, path: &PagePath, data: Bytes) -> Result<()> {
+        self.inner.write_page(version, path, data)
+    }
+    fn append_page(
+        &self,
+        version: &Capability,
+        parent: &PagePath,
+        data: Bytes,
+    ) -> Result<PagePath> {
+        self.inner.append_page(version, parent, data)
+    }
+    fn insert_page(
+        &self,
+        version: &Capability,
+        parent: &PagePath,
+        index: u16,
+        data: Bytes,
+    ) -> Result<PagePath> {
+        self.inner.insert_page(version, parent, index, data)
+    }
+    fn remove_page(&self, version: &Capability, path: &PagePath) -> Result<()> {
+        self.inner.remove_page(version, path)
+    }
+    fn commit(&self, version: &Capability) -> Result<CommitReceipt> {
+        if !self.met.swap(true, Ordering::Relaxed) {
+            self.barrier.wait();
+        }
+        self.inner.commit(version)
+    }
+    fn abort(&self, version: &Capability) -> Result<()> {
+        self.inner.abort(version)
+    }
+    fn current_version(&self, file: &Capability) -> Result<Capability> {
+        self.inner.current_version(file)
+    }
+    fn read_committed_page(&self, version: &Capability, path: &PagePath) -> Result<Bytes> {
+        self.inner.read_committed_page(version, path)
+    }
+    fn validate_cache(&self, file: &Capability, cached_block: BlockNr) -> Result<CacheValidation> {
+        self.inner.validate_cache(file, cached_block)
+    }
+    fn read_pages(&self, version: &Capability, paths: &[PagePath]) -> Result<Vec<Bytes>> {
+        self.inner.read_pages(version, paths)
+    }
+    fn write_pages(&self, version: &Capability, writes: &[(PagePath, Bytes)]) -> Result<()> {
+        self.inner.write_pages(version, writes)
+    }
+}
+
 /// Concurrent renames on ONE hot directory: every client renames its own
 /// entries, so every rename can succeed — but they all contend on the same
-/// directory file, so OCC conflicts are guaranteed.  All must commit via
-/// retry, and no entry may be lost or duplicated.
+/// directory file.  Every client's first rename is held until all of them
+/// have read the directory, so OCC conflicts are certain.  All must commit
+/// via retry, and no entry may be lost or duplicated.
 #[test]
 fn concurrent_renames_on_a_hot_directory_all_commit() {
     let (store, _replicas) = ShardedStore::local_replicated(3, 2);
@@ -41,10 +115,15 @@ fn concurrent_renames_on_a_hot_directory_all_commit() {
     }
 
     // The race: every client renames all of its entries concurrently.
+    let barrier = Arc::new(Barrier::new(threads));
     let total_attempts: usize = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
-            let dirs = DirStore::new(Arc::clone(&store));
+            let dirs = DirStore::new(FirstCommitsMeet {
+                inner: Arc::clone(&store),
+                barrier: Arc::clone(&barrier),
+                met: AtomicBool::new(false),
+            });
             handles.push(scope.spawn(move || {
                 let mut attempts = 0;
                 for i in 0..per_thread {

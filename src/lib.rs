@@ -64,11 +64,12 @@
 //! [`amoeba_capability::shard_of`] routes any file or version capability with a
 //! modulo — no directory service on the request path, exactly the paper's
 //! capability-addressed design.  *Durability* within a shard is the commit-time
-//! flush, and it is **batched**: the commit's dirty pages leave the write-back
-//! buffer as one [`amoeba_block::BlockStore::write_batch`] scatter-gather call
-//! (children-first order preserved inside the batch), followed by the version
-//! page strictly last — so a k-page commit costs a constant number of physical
-//! write calls, and over remote block servers one `WriteBlocks` RPC per replica
+//! flush, and it is **one ordered batch**: the commit's dirty pages leave the
+//! write-back buffer in one [`amoeba_block::BlockStore::write_batch`]
+//! scatter-gather call, children first, then the version page, then the base
+//! page carrying the commit reference as the last entry — so a k-page commit
+//! costs one physical write call, and over remote block servers one
+//! `WriteBlocks` RPC per replica
 //! ([`amoeba_rpc::block`], `afs_server::RemoteBlockStore`).  *Availability*
 //! comes from the replica set, which appends every put to one operation log
 //! that each replica applies in order, and acknowledges once a **majority of

@@ -724,10 +724,10 @@ fn fault_resync_races_a_live_commit_stream() {
 }
 
 /// The block-level half of the O(1)-RPC discipline: with the replica disks
-/// behind RPC, a commit's dirty pages must reach each replica as one
-/// `WriteBlocks` scatter-gather request (plus the version-page write and the
-/// commit-reference test-and-set) — a *constant* number of block-write RPCs per
-/// replica, independent of how many pages the commit dirtied.
+/// behind RPC, a commit's dirty pages, its version page and the base page with
+/// its commit reference must reach each replica as one `WriteBlocks`
+/// scatter-gather request — one block-write RPC per replica, independent of
+/// how many pages the commit dirtied.
 #[test]
 fn a_k_page_commit_costs_o1_block_write_rpcs_per_replica() {
     use afs_core::BlockServer;
@@ -782,10 +782,10 @@ fn a_k_page_commit_costs_o1_block_write_rpcs_per_replica() {
             s, l,
             "replica {replica}: block-write RPCs grew with the dirty-page count"
         );
-        assert!(
-            *l <= 3,
-            "replica {replica}: a commit is 1 WriteBlocks batch + 1 version-page \
-             write + 1 test-and-set, got {l} write RPCs for a 32-page commit"
+        assert_eq!(
+            *l, 1,
+            "replica {replica}: a commit is 1 WriteBlocks batch ending in the \
+             commit reference, got {l} write RPCs for a 32-page commit"
         );
     }
 }
