@@ -15,7 +15,7 @@
 //!
 //! The third design §5.4 argues against, a client cache kept coherent by
 //! server→client invalidation callbacks, is not re-implemented here: the
-//! file server's lease protocol (`afs_server::LeaseManager`) breaks leases by
+//! file service's lease protocol (`afs_core::LeaseManager`) breaks leases by
 //! exactly such callbacks, and experiment E3 measures it.
 //!
 //! [`interface::ConcurrencyControl`] is the uniform transaction interface the

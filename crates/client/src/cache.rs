@@ -8,7 +8,7 @@
 //!
 //! Validate-on-use is the *fallback* discipline, correct over any transport.
 //! Over a connected transport the validation reply also carries a time-bounded
-//! lease (see `crate::RemoteFs` and `afs_server::LeaseManager`): while the
+//! lease (see `crate::RemoteFs` and `afs_core::LeaseManager`): while the
 //! lease lives, the store answers `validate_cache` from a local lease table
 //! without touching the wire, so the revalidation this cache performs on every
 //! reopen costs zero RPCs on the warm path.  The cache itself is oblivious to

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use afs_server::ops::decode_lease_break;
+use afs_core::lease::decode_lease_break;
 use amoeba_capability::Port;
 use amoeba_rpc::CallbackSink;
 

@@ -24,7 +24,9 @@
 //! through this `NamedStore` invalidate the affected directories eagerly.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use afs_core::{BlockNr, Capability, FileStore, NOTHING_CACHED};
 use afs_dir::{DirCap, DirEntry, DirError, DirStore, DirTable, EntryKind};
@@ -111,12 +113,12 @@ impl<S: FileStore> NamedStore<S> {
 
     /// Accumulated cache statistics.
     pub fn cache_stats(&self) -> NameCacheStats {
-        *self.stats.lock().unwrap()
+        *self.stats.lock()
     }
 
     /// Drops every cached directory table.
     pub fn clear_cache(&self) {
-        self.cache.lock().unwrap().clear();
+        self.cache.lock().clear();
     }
 
     /// The generation the cached table of `dir` was read at, if it is cached.
@@ -126,7 +128,6 @@ impl<S: FileStore> NamedStore<S> {
     pub fn cached_generation(&self, dir: &DirCap) -> Option<u64> {
         self.cache
             .lock()
-            .unwrap()
             .get(&dir_key(dir))
             .map(|cached| cached.generation)
     }
@@ -158,8 +159,8 @@ impl<S: FileStore> NamedStore<S> {
     /// Returns the table of `dir`, from the cache when present.  A warm hit
     /// costs one `Arc` clone under the lock, never a table copy.
     fn cached_table(&self, dir: &DirCap) -> Result<Arc<DirTable>, DirError> {
-        if let Some(cached) = self.cache.lock().unwrap().get(&dir_key(dir)) {
-            self.stats.lock().unwrap().hits += 1;
+        if let Some(cached) = self.cache.lock().get(&dir_key(dir)) {
+            self.stats.lock().hits += 1;
             return Ok(Arc::clone(&cached.table));
         }
         self.fetch_table(dir)
@@ -177,8 +178,8 @@ impl<S: FileStore> NamedStore<S> {
             .map_err(DirError::Fs)?;
         let (header, table) = self.dirs.load_committed(dir)?;
         let table = Arc::new(table);
-        self.stats.lock().unwrap().misses += 1;
-        self.cache.lock().unwrap().insert(
+        self.stats.lock().misses += 1;
+        self.cache.lock().insert(
             dir_key(dir),
             CachedDir {
                 version_block: validation.current_block,
@@ -190,7 +191,7 @@ impl<S: FileStore> NamedStore<S> {
     }
 
     fn invalidate(&self, dir: &DirCap) {
-        self.cache.lock().unwrap().remove(&dir_key(dir));
+        self.cache.lock().remove(&dir_key(dir));
     }
 
     /// Revalidates the cached table of `dir` with one `ValidateCache`
@@ -198,11 +199,11 @@ impl<S: FileStore> NamedStore<S> {
     /// on `false` the stale table has been dropped (the next resolution
     /// refetches it).  A directory that is not cached reports `true`.
     pub fn revalidate_dir(&self, dir: &DirCap) -> Result<bool, DirError> {
-        let block = match self.cache.lock().unwrap().get(&dir_key(dir)) {
+        let block = match self.cache.lock().get(&dir_key(dir)) {
             Some(cached) => cached.version_block,
             None => return Ok(true),
         };
-        self.stats.lock().unwrap().validations += 1;
+        self.stats.lock().validations += 1;
         let validation = self
             .dirs
             .store()
@@ -212,7 +213,7 @@ impl<S: FileStore> NamedStore<S> {
             return Ok(true);
         }
         self.invalidate(dir);
-        self.stats.lock().unwrap().invalidated += 1;
+        self.stats.lock().invalidated += 1;
         Ok(false)
     }
 
@@ -230,7 +231,7 @@ impl<S: FileStore> NamedStore<S> {
         // Walk as far as the (now current) tables lead; uncached or dropped
         // prefixes need no further validation — they will be refetched.
         for component in components {
-            let table = match self.cache.lock().unwrap().get(&dir_key(&dir)) {
+            let table = match self.cache.lock().get(&dir_key(&dir)) {
                 Some(cached) => cached.table.clone(),
                 None => break,
             };

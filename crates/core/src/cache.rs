@@ -14,7 +14,7 @@
 //! needs the data, which of its pages are stale.  For a file that is not shared the
 //! test is "a null operation, and all pages in the cache will always be valid".
 //! The reproduction keeps validate-on-use as the universal fallback and layers an
-//! optional lease protocol on top (`afs_server::LeaseManager`): a validation reply
+//! optional lease protocol on top ([`crate::lease`]): a validation reply
 //! over a connected transport grants a time-bounded lease that lets the client skip
 //! the ask entirely, and a committing writer breaks conflicting leases with a
 //! callback before its commit completes — so leases are a pure round-trip

@@ -57,8 +57,24 @@ impl FileService {
     /// On a serialisability conflict the version is removed (its private pages are
     /// freed) and [`FsError::SerialisabilityConflict`] is returned; the client must
     /// redo the update on a fresh version, as the paper prescribes.
+    ///
+    /// Every commit settles its file's leases (see [`lease`](crate::lease))
+    /// once the capability and state checks pass, before the test-and-set and
+    /// with no version, file or block lock held, and keeps new grants out
+    /// until it returns.  A commit those checks refuse settles nothing.
     pub fn commit(&self, version_cap: &Capability) -> Result<CommitReceipt> {
         let meta_arc = self.resolve_version(version_cap, Rights::COMMIT)?;
+        let file = {
+            let meta = meta_arc.lock();
+            if meta.state != VersionState::Uncommitted {
+                return Err(FsError::AlreadyCommitted);
+            }
+            meta.file
+        };
+        // Leases are granted per file, which is what clients cache.  Once
+        // this returns, no holder still serves the current version.
+        let _settle = self.leases.settle(file, self.port);
+        // The version lock was released for the settle: check again.
         let mut meta = meta_arc.lock();
         if meta.state != VersionState::Uncommitted {
             return Err(FsError::AlreadyCommitted);
@@ -125,7 +141,7 @@ impl FileService {
         // under a version lock.
         meta.state = VersionState::Committed;
         meta.owned_blocks.clear();
-        let (file_id, pinned) = (meta.file, meta.base.take());
+        let pinned = meta.base.take();
         drop(meta);
         // The new current version must not carry stale lock fields.  Versions are
         // created with both fields NULL, so rewriting the page is only needed in
@@ -145,7 +161,7 @@ impl FileService {
             header.inner_lock = Port::NULL;
             Ok((true, ()))
         });
-        self.link_commit(file_id, base_block, my_block, pinned)?;
+        self.link_commit(file, base_block, my_block, pinned)?;
         cleared?;
 
         if receipt.fast_path {

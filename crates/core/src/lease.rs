@@ -1,5 +1,5 @@
-//! Server-side lease management: time-bounded read leases with
-//! callback-based revocation.
+//! Read leases: the file service's one grant table, with callback-based
+//! revocation.
 //!
 //! A lease is the server's promise that a file's current version will not
 //! change for a bounded time without the client hearing about it first.  It
@@ -7,17 +7,21 @@
 //! while a lease is live, a cached copy *is* the current version, no wire
 //! traffic needed.
 //!
-//! The manager keeps one grant table keyed `file object → peer connection`.
-//! Grants ride [`ValidateCache`](crate::FsOp::ValidateCache) replies (no
+//! Each [`FileService`](crate::FileService) owns exactly one [`LeaseManager`],
+//! built from [`ServiceConfig::lease_ttl`](crate::ServiceConfig::lease_ttl),
+//! so every port that fronts the service grants from, and every commit
+//! settles, the same table.  The manager keeps one grant table keyed
+//! `file object → peer connection`.  Grants ride `ValidateCache` replies (no
 //! extra round trip) and are only issued to transports that expose a
 //! [`CallbackChannel`] — an anonymous request/reply client simply never gets
 //! a lease and keeps validating.
 //!
 //! # Break-vs-wait discipline
 //!
-//! A committing writer calls [`LeaseManager::settle`] *before* the commit
-//! mutates anything.  Settling follows the upgrade-lock discipline (abort
-//! conflicting holders, honor age to prevent livelock):
+//! [`FileService::commit`](crate::FileService::commit) settles the file's
+//! leases once its capability and state checks pass and
+//! *before* the commit mutates anything.  Settling follows the upgrade-lock
+//! discipline (abort conflicting holders, honor age to prevent livelock):
 //!
 //! * the object is marked *settling*, which refuses all new grants — the
 //!   writer is the oldest party at the table and a stream of young readers
@@ -28,11 +32,14 @@
 //!   clock** — whichever is first.  Either way the holder no longer trusts
 //!   its copy: the client stops first under bounded clock drift because its
 //!   countdown started before the request even reached us;
+//! * a settle that finds no grants left still waits for the breaks an
+//!   overlapping settle of the same object has in flight: the grants left
+//!   the table when they were broken, not when the holders acked;
 //! * grants whose connection has died are dropped without waiting: a dead
 //!   connection holds no leases (the client side mirrors this by dropping
 //!   all leases on connection loss and revalidating after reconnect);
 //! * only then does the commit proceed, and the settling mark is cleared
-//!   when the returned [`SettleGuard`] drops — after the commit, so a lease
+//!   when the settle's guard drops — after the commit, so a lease
 //!   granted mid-commit can never cover the pre-commit value.
 //!
 //! The invariant this buys (encoded in the conformance tests): **a lease
@@ -44,17 +51,33 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use bytes::{Buf, BufMut, Bytes, BytesMut};
+use parking_lot::{Condvar, Mutex};
 
 use amoeba_capability::Port;
 use amoeba_rpc::CallbackChannel;
-
-use crate::ops::encode_lease_break;
 
 /// Default lease duration.  Long enough that a warm working set re-reads
 /// many times per grant, short enough that a crashed client delays a
 /// conflicting writer imperceptibly in the worst case.
 pub const DEFAULT_LEASE_TTL: Duration = Duration::from_secs(2);
+
+/// Encodes a lease-break callback payload: the file object id whose leases
+/// are void.  Pushed server→client in a callback frame when a writer commits
+/// under live leases.
+fn encode_lease_break(object: u64) -> Bytes {
+    let mut buf = BytesMut::with_capacity(8);
+    buf.put_u64_le(object);
+    buf.freeze()
+}
+
+/// Decodes a lease-break callback payload.
+pub fn decode_lease_break(mut payload: Bytes) -> Option<u64> {
+    if payload.remaining() < 8 {
+        return None;
+    }
+    Some(payload.get_u64_le())
+}
 
 /// One granted lease: the connection it was granted over and when it expires
 /// on the *server's* clock (strictly later than the client's own countdown,
@@ -81,38 +104,34 @@ struct LeaseInner {
     /// lease granted after the first commit's guard drops would cover the
     /// value the second commit is about to replace.
     settling: HashMap<u64, usize>,
+    /// Objects with breaks still unacked, with the number of settles that
+    /// sent them.  Every settle of the object returns only once this drops
+    /// to zero; while any settle is in flight no grant is made, so no new
+    /// break can join and the count only falls.
+    breaking: HashMap<u64, usize>,
     /// Grant calls since the last full-table sweep.
     grants_since_sweep: u64,
 }
 
-/// The grant table and settle logic, shared by every server process of a
-/// group (a commit arriving at any replica port must break leases granted
-/// at any other).
+/// The grant table and settle logic of one file service.
 pub struct LeaseManager {
     ttl: Duration,
     inner: Mutex<LeaseInner>,
+    /// Signalled when an object's last outstanding break is acked or expires.
+    breaks_done: Condvar,
     granted: AtomicU64,
 }
 
 impl LeaseManager {
-    /// A manager granting leases of [`DEFAULT_LEASE_TTL`].
-    pub fn new() -> Self {
-        Self::with_ttl(DEFAULT_LEASE_TTL)
-    }
-
     /// A manager granting leases of the given duration.  A zero ttl disables
     /// granting entirely.
-    pub fn with_ttl(ttl: Duration) -> Self {
+    pub(crate) fn new(ttl: Duration) -> Self {
         LeaseManager {
             ttl,
             inner: Mutex::new(LeaseInner::default()),
+            breaks_done: Condvar::new(),
             granted: AtomicU64::new(0),
         }
-    }
-
-    /// The configured lease duration.
-    pub fn ttl(&self) -> Duration {
-        self.ttl
     }
 
     /// Tries to grant `channel` a lease on `object`, returning the relative
@@ -154,41 +173,57 @@ impl LeaseManager {
 
     /// Settles `object` for a committing writer: blocks new grants, breaks
     /// every live grant over its connection (waiting for the ack or the
-    /// grant's own expiry, whichever is first), and returns a guard that
-    /// re-opens granting when dropped — *after* the commit.
+    /// grant's own expiry, whichever is first), waits for the breaks an
+    /// overlapping settle of `object` still has in flight, and returns a
+    /// guard that re-opens granting when dropped — *after* the commit.
     ///
     /// Callback pushes happen with the table lock released: a push may
     /// deliver synchronously into the committing client's own lease table
     /// (the in-process transport does), and that client may concurrently be
     /// validating some other file through this very manager.
-    pub fn settle(&self, object: u64, port: Port) -> SettleGuard<'_> {
-        let holders: Vec<Grant> = {
-            let mut inner = self.inner.lock();
-            *inner.settling.entry(object).or_insert(0) += 1;
-            inner
-                .grants
-                .remove(&object)
-                .map(|m| m.into_values().collect())
-                .unwrap_or_default()
-        };
+    pub(crate) fn settle(&self, object: u64, port: Port) -> SettleGuard<'_> {
         let now = Instant::now();
-        let payload = encode_lease_break(object);
-        let mut pending: Vec<(Arc<dyn CallbackChannel>, u64, Instant)> = Vec::new();
-        for grant in holders {
-            // Expired on our clock means expired on the holder's (theirs ran
-            // out first); a closed channel holds nothing.  Neither is worth
-            // a frame or a wait.
-            if now >= grant.expiry || grant.channel.is_closed() {
-                continue;
+        let mut inner = self.inner.lock();
+        *inner.settling.entry(object).or_insert(0) += 1;
+        // Expired on our clock means expired on the holder's (theirs ran out
+        // first); a closed channel holds nothing.  Neither is worth a frame
+        // or a wait.
+        let holders: Vec<Grant> = inner
+            .grants
+            .remove(&object)
+            .into_iter()
+            .flat_map(HashMap::into_values)
+            .filter(|g| now < g.expiry && !g.channel.is_closed())
+            .collect();
+        if !holders.is_empty() {
+            *inner.breaking.entry(object).or_insert(0) += 1;
+            drop(inner);
+            let payload = encode_lease_break(object);
+            let pending: Vec<(Grant, u64)> = holders
+                .into_iter()
+                .filter_map(|g| {
+                    let ticket = g.channel.push(port, payload.clone())?;
+                    Some((g, ticket))
+                })
+                .collect();
+            for (grant, ticket) in pending {
+                // Ack, expiry, or connection death — each bounds the wait.
+                grant.channel.wait_acked(ticket, grant.expiry);
             }
-            if let Some(ticket) = grant.channel.push(port, payload.clone()) {
-                pending.push((grant.channel, ticket, grant.expiry));
+            inner = self.inner.lock();
+            let count = inner.breaking.get_mut(&object).expect("counted above");
+            *count -= 1;
+            if *count == 0 {
+                inner.breaking.remove(&object);
+                self.breaks_done.notify_all();
             }
         }
-        for (channel, ticket, expiry) in pending {
-            // Ack, expiry, or connection death — each bounds the wait.
-            channel.wait_acked(ticket, expiry);
+        // `wait_acked` consumes its ticket, so an overlapping settle cannot
+        // wait on this one's tickets; it waits for the count instead.
+        while inner.breaking.contains_key(&object) {
+            self.breaks_done.wait(&mut inner);
         }
+        drop(inner);
         SettleGuard {
             manager: self,
             object,
@@ -218,15 +253,9 @@ impl LeaseManager {
     }
 }
 
-impl Default for LeaseManager {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Keeps an object's grant window closed while a commit is in flight;
 /// dropping it (after the commit) re-opens granting.
-pub struct SettleGuard<'a> {
+pub(crate) struct SettleGuard<'a> {
     manager: &'a LeaseManager,
     object: u64,
 }
@@ -244,16 +273,14 @@ impl Drop for SettleGuard<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use bytes::Bytes;
-    use parking_lot::Condvar;
 
     /// A channel test double: records pushes, acks on demand, can be closed.
-    struct FakeChannel {
+    pub(crate) struct FakeChannel {
         key: u64,
         closed: std::sync::atomic::AtomicBool,
-        pushes: Mutex<Vec<(u64, Bytes)>>,
+        pub(crate) pushes: Mutex<Vec<(u64, Bytes)>>,
         acked: Mutex<std::collections::HashSet<u64>>,
         ack_ready: Condvar,
         next_ticket: AtomicU64,
@@ -261,7 +288,7 @@ mod tests {
     }
 
     impl FakeChannel {
-        fn new(key: u64, auto_ack: bool) -> Arc<Self> {
+        pub(crate) fn new(key: u64, auto_ack: bool) -> Arc<Self> {
             Arc::new(FakeChannel {
                 key,
                 closed: std::sync::atomic::AtomicBool::new(false),
@@ -308,13 +335,13 @@ mod tests {
         }
     }
 
-    fn as_dyn(c: &Arc<FakeChannel>) -> Arc<dyn CallbackChannel> {
+    pub(crate) fn as_dyn(c: &Arc<FakeChannel>) -> Arc<dyn CallbackChannel> {
         Arc::clone(c) as _
     }
 
     #[test]
     fn grants_are_per_connection_and_settle_breaks_them() {
-        let mgr = LeaseManager::with_ttl(Duration::from_secs(5));
+        let mgr = LeaseManager::new(Duration::from_secs(5));
         let a = FakeChannel::new(1, true);
         let b = FakeChannel::new(2, true);
         assert!(mgr.grant(7, &as_dyn(&a)).is_some());
@@ -324,10 +351,7 @@ mod tests {
         let guard = mgr.settle(7, Port::from_raw(9));
         // Both holders got a break frame carrying the object id.
         assert_eq!(a.pushes.lock().len(), 1);
-        assert_eq!(
-            crate::ops::decode_lease_break(a.pushes.lock()[0].1.clone()),
-            Some(7)
-        );
+        assert_eq!(decode_lease_break(a.pushes.lock()[0].1.clone()), Some(7));
         assert_eq!(b.pushes.lock().len(), 1);
         assert_eq!(mgr.live_grants(7), 0);
 
@@ -342,7 +366,7 @@ mod tests {
 
     #[test]
     fn dead_connections_lose_their_leases_without_a_wait() {
-        let mgr = LeaseManager::with_ttl(Duration::from_secs(5));
+        let mgr = LeaseManager::new(Duration::from_secs(5));
         let doomed = FakeChannel::new(1, false); // never acks
         assert!(mgr.grant(3, &as_dyn(&doomed)).is_some());
         doomed.closed.store(true, Ordering::SeqCst);
@@ -360,7 +384,7 @@ mod tests {
     #[test]
     fn unacked_breaks_wait_only_until_the_grant_expires() {
         let ttl = Duration::from_millis(120);
-        let mgr = LeaseManager::with_ttl(ttl);
+        let mgr = LeaseManager::new(ttl);
         let mute = FakeChannel::new(1, false); // receives pushes, never acks
         assert!(mgr.grant(5, &as_dyn(&mute)).is_some());
 
@@ -379,7 +403,7 @@ mod tests {
 
     #[test]
     fn overlapping_settles_keep_the_grant_window_closed_until_both_finish() {
-        let mgr = LeaseManager::with_ttl(Duration::from_secs(5));
+        let mgr = LeaseManager::new(Duration::from_secs(5));
         let c = FakeChannel::new(1, true);
 
         // Two commits on the same file are in flight at once.
@@ -399,9 +423,42 @@ mod tests {
     }
 
     #[test]
+    fn a_second_settle_waits_for_the_breaks_the_first_sent() {
+        let ttl = Duration::from_millis(400);
+        let mgr = LeaseManager::new(ttl);
+        let mute = FakeChannel::new(1, false); // receives pushes, never acks
+        let granted = Instant::now();
+        assert!(mgr.grant(7, &as_dyn(&mute)).is_some());
+
+        std::thread::scope(|s| {
+            let first = s.spawn(|| drop(mgr.settle(7, Port::from_raw(1))));
+            while mute.pushes.lock().is_empty() {
+                std::thread::yield_now();
+            }
+            // The first settle took the grant out of the table when it broke
+            // it.  The holder has not acked, so it may still serve the old
+            // value: a second commit must not go ahead before the grant
+            // expires.
+            let second = mgr.settle(7, Port::from_raw(1));
+            let waited = granted.elapsed();
+            assert!(waited >= ttl, "second settle returned after {waited:?}");
+            assert_eq!(mute.pushes.lock().len(), 1, "one break per grant");
+            drop(second);
+            first.join().unwrap();
+        });
+        assert!(mgr.inner.lock().breaking.is_empty());
+    }
+
+    #[test]
+    fn lease_break_round_trip() {
+        assert_eq!(decode_lease_break(encode_lease_break(0xdead)), Some(0xdead));
+        assert_eq!(decode_lease_break(Bytes::from_static(b"short")), None);
+    }
+
+    #[test]
     fn sweeping_drops_entries_for_objects_never_touched_again() {
         let ttl = Duration::from_millis(10);
-        let mgr = LeaseManager::with_ttl(ttl);
+        let mgr = LeaseManager::new(ttl);
         let c = FakeChannel::new(1, true);
         // Grant on many distinct objects, then let everything expire.
         for object in 0..SWEEP_EVERY {
@@ -421,7 +478,7 @@ mod tests {
 
     #[test]
     fn zero_ttl_disables_granting() {
-        let mgr = LeaseManager::with_ttl(Duration::ZERO);
+        let mgr = LeaseManager::new(Duration::ZERO);
         let c = FakeChannel::new(1, true);
         assert!(mgr.grant(1, &as_dyn(&c)).is_none());
         assert_eq!(mgr.granted_total(), 0);

@@ -159,6 +159,7 @@
 //! | [`locking`] | §5.3 | top/inner/soft locks, super-file updates, lock crash recovery |
 //! | [`gc`] | §5.1 | retiring old versions at commit; the audit of allocated vs reachable blocks |
 //! | [`cache`] | §5.4 | cache validation via the serialisability test |
+//! | [`lease`] | §5.4 | the service's one lease table, settled by every commit |
 //! | [`recover`] | §4, §5.4.1 | rebuilding the file table from blocks after a crash |
 
 #![forbid(unsafe_code)]
@@ -169,6 +170,7 @@ pub mod commit;
 pub mod cow;
 pub mod flags;
 pub mod gc;
+pub mod lease;
 pub mod locking;
 pub mod page;
 pub mod pageio;
@@ -185,6 +187,7 @@ pub use commit::{CommitReceipt, SerialiseReport};
 pub use cow::PageInfo;
 pub use flags::PageFlags;
 pub use gc::{Audit, GcReport};
+pub use lease::{LeaseManager, DEFAULT_LEASE_TTL};
 pub use locking::{LockRecoveryReport, SuperUpdate};
 pub use page::{Page, PageRef, VersionHeader, MAX_PAGE_DATA};
 pub use pageio::PageMut;

@@ -353,7 +353,9 @@ impl FileService {
             };
             if base_header.commit_reference.is_none() {
                 // The crashed update created this sub version but never committed it;
-                // finish that commit now.
+                // finish that commit now, settling the sub-file's leases first as
+                // `commit` does.
+                let _settle = self.leases.settle(child_header.file_cap.object, self.port);
                 let result = self.try_set_commit_reference(base, reference.block, &[])?;
                 if result.is_none() {
                     report.finished_commits += 1;
@@ -613,6 +615,7 @@ impl FileService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lease::tests::{as_dyn, FakeChannel};
     use crate::path::PagePath;
     use bytes::Bytes;
 
@@ -794,9 +797,22 @@ mod tests {
         let locked_block = update.locked_block;
         drop(update);
 
+        // A reader holds a lease on the sub-file the recovery will move.
+        let reader = FakeChannel::new(1, true);
+        assert!(service
+            .leases()
+            .grant(subs[0].object, &as_dyn(&reader))
+            .is_some());
+
         // A waiter runs recovery on the locked block and finishes the sub commits.
         let report = service.recover_locked_version(locked_block).unwrap();
         assert_eq!(report.finished_commits, 1);
+        assert_eq!(
+            reader.pushes.lock().len(),
+            1,
+            "finishing the sub commit must break the sub-file's lease"
+        );
+        assert_eq!(service.leases().live_grants(subs[0].object), 0);
         let current = service.current_version(&subs[0]).unwrap();
         assert_eq!(
             service

@@ -26,6 +26,7 @@ use parking_lot::{Mutex, RwLock};
 use amoeba_block::{BlockNr, BlockServer, MemStore};
 use amoeba_capability::{Capability, Minter, Port, Rights};
 
+use crate::lease::{LeaseManager, DEFAULT_LEASE_TTL};
 use crate::page::{Page, PageRef, VersionHeader};
 use crate::pageio::PageIo;
 use crate::types::{FileId, FsError, Result, VersionId};
@@ -52,6 +53,10 @@ pub struct ServiceConfig {
     /// How long a waiter keeps retrying before concluding the lock holder is gone and
     /// running crash recovery on the lock.
     pub lock_patience: std::time::Duration,
+    /// How long a read lease granted on a `ValidateCache` reply lasts (see
+    /// [`lease`](crate::lease)); zero disables leases.  Every port fronting
+    /// the service grants from its one table, and every commit settles it.
+    pub lease_ttl: std::time::Duration,
 }
 
 impl Default for ServiceConfig {
@@ -62,6 +67,7 @@ impl Default for ServiceConfig {
             object_id_offset: 0,
             object_id_stride: 1,
             lock_patience: std::time::Duration::from_millis(500),
+            lease_ttl: DEFAULT_LEASE_TTL,
         }
     }
 }
@@ -257,6 +263,9 @@ pub struct FileService {
     /// [`locking`](crate::locking).  Taken under a page's block lock, never the
     /// other way round.
     pub(crate) soft_locks: Mutex<HashMap<BlockNr, Port>>,
+    /// The read leases granted on this service's files, settled by
+    /// [`commit`](FileService::commit).
+    pub(crate) leases: LeaseManager,
 }
 
 impl std::fmt::Debug for FileService {
@@ -327,6 +336,7 @@ impl FileService {
             versions: RwLock::new(HashMap::new()),
             block_index: RwLock::new(HashMap::new()),
             next_object: AtomicU64::new(1),
+            leases: LeaseManager::new(config.lease_ttl),
             config,
             port,
             crashed_ports: RwLock::new(HashSet::new()),
@@ -343,6 +353,12 @@ impl FileService {
     /// The service configuration.
     pub fn config(&self) -> &ServiceConfig {
         &self.config
+    }
+
+    /// The service's lease table: servers grant from it, and
+    /// [`commit`](FileService::commit) settles it.
+    pub fn leases(&self) -> &LeaseManager {
+        &self.leases
     }
 
     /// Page reads served from the write-back buffer or the page cache since
@@ -638,16 +654,6 @@ impl FileService {
         let meta = self.resolve_version(version_cap, Rights::NONE)?;
         let state = meta.lock().state;
         Ok(state)
-    }
-
-    /// Returns the id of the file a version belongs to.  The commit path's
-    /// lease settling uses this: leases are granted per *file* (that is what
-    /// clients cache), while a commit arrives holding a *version*
-    /// capability, so the conflicting leases are found under the file id.
-    pub fn file_of_version(&self, version_cap: &Capability) -> Result<FileId> {
-        let meta = self.resolve_version(version_cap, Rights::NONE)?;
-        let file = meta.lock().file;
-        Ok(file)
     }
 }
 

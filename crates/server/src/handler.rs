@@ -1,21 +1,16 @@
 //! Request dispatch: one incoming transaction → one file-service call.
 //!
-//! The handler is also where the lease protocol touches the request path,
-//! in exactly two places:
+//! The lease protocol touches the request path in one place here:
+//! `ValidateCache` from a connected client (one with a [`CallbackChannel`])
+//! registers a lease in the service's table *before* reading the current
+//! version and puts the ttl on the reply — grant-then-read means a commit
+//! racing the validation either blocks the grant (settling) or breaks it,
+//! never leaves a lease covering a stale answer.
 //!
-//! * `ValidateCache` from a connected client (one with a
-//!   [`CallbackChannel`]) registers a lease *before* reading the current
-//!   version and puts the ttl on the reply — grant-then-read means a commit
-//!   racing the validation either blocks the grant (settling) or breaks it,
-//!   never leaves a lease covering a stale answer;
-//! * `Commit` settles the file's leases (break + await acks) before the
-//!   service commits, so no client can still be serving the old value under
-//!   a lease once the commit is acknowledged.
-//!
-//! The settle runs here, in this handler's `Commit` arm, and nowhere else.
-//! A commit made by calling `FileService::commit` in process settles no
-//! leases: for example one made by a `DirServerHandler` whose store is the
-//! `FileService` itself rather than a `RemoteFs` to it.
+//! The settle is not here: [`FileService::commit`] runs it after its
+//! capability and state checks, so a `Commit` through this handler, a
+//! directory server over the same service and an in-process caller all
+//! break the file's leases before the commit, and a refused one breaks none.
 
 use std::sync::Arc;
 
@@ -24,7 +19,6 @@ use bytes::{Buf, Bytes, BytesMut};
 use afs_core::{FileService, FsError};
 use amoeba_rpc::{CallbackChannel, Reply, Request, RequestHandler};
 
-use crate::lease::LeaseManager;
 use crate::ops::{
     decode_insert, decode_path, decode_path_and_data, decode_paths, decode_writes,
     encode_capability, encode_error, encode_pages_reply, encode_receipt, encode_validation,
@@ -32,31 +26,17 @@ use crate::ops::{
 };
 
 /// The service-side handler: decodes requests, calls the file service, encodes
-/// replies.  Stateless apart from the shared `Arc<FileService>` and the shared
-/// [`LeaseManager`], so any number of handler instances (server processes) can
-/// serve the same file service — they MUST then share one lease manager, or a
-/// commit through one port would not see leases granted through another.
+/// replies.  Stateless apart from the shared `Arc<FileService>`, which also
+/// owns the lease table, so any number of handler instances (server
+/// processes) can serve the same file service.
 pub struct FileServerHandler {
     service: Arc<FileService>,
-    lease: Arc<LeaseManager>,
 }
 
 impl FileServerHandler {
-    /// Creates a handler over the shared file-service state with its own
-    /// default lease manager.
+    /// Creates a handler over the shared file-service state.
     pub fn new(service: Arc<FileService>) -> Self {
-        Self::with_lease_manager(service, Arc::new(LeaseManager::new()))
-    }
-
-    /// Creates a handler sharing an existing lease manager — what a server
-    /// group does so every replica process settles the same grant table.
-    pub fn with_lease_manager(service: Arc<FileService>, lease: Arc<LeaseManager>) -> Self {
-        FileServerHandler { service, lease }
-    }
-
-    /// The lease manager this handler grants from.
-    pub fn lease_manager(&self) -> &Arc<LeaseManager> {
-        &self.lease
+        FileServerHandler { service }
     }
 
     fn dispatch(
@@ -138,16 +118,6 @@ impl FileServerHandler {
                 Ok(Bytes::new())
             }
             FsOp::Commit => {
-                // Settle the file's leases BEFORE committing: every holder
-                // acks the break (or its grant expires) first, so once the
-                // commit returns no lease anywhere still covers the old
-                // current version.  The settling mark stays up until after
-                // the commit (guard drop), refusing new grants meanwhile.
-                let _settle = self
-                    .service
-                    .file_of_version(&request.cap)
-                    .ok()
-                    .map(|object| self.lease.settle(object, request.cap.port));
                 let receipt = self.service.commit(&request.cap).map_err(fs_err)?;
                 Ok(encode_receipt(&receipt))
             }
@@ -188,7 +158,7 @@ impl FileServerHandler {
                 // an answer the commit obsoleted.  Granting after the read
                 // would leave exactly that window.
                 let ttl_ms = peer
-                    .and_then(|channel| self.lease.grant(request.cap.object, channel))
+                    .and_then(|channel| self.service.leases().grant(request.cap.object, channel))
                     .unwrap_or(0);
                 let validation = self
                     .service
@@ -226,7 +196,9 @@ mod tests {
     use super::*;
     use crate::ops::{decode_error, decode_receipt, encode_paths, encode_writes};
     use afs_core::PagePath;
-    use amoeba_capability::Capability;
+    use amoeba_capability::{Capability, Port};
+    use bytes::BufMut;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn create_file_round_trips_a_capability() {
@@ -262,52 +234,84 @@ mod tests {
         assert!(receipt.fast_path);
     }
 
+    /// A callback channel that counts pushes and acks each at once.
+    #[derive(Default)]
+    struct CountingChannel {
+        pushes: AtomicUsize,
+    }
+
+    impl CallbackChannel for CountingChannel {
+        fn push(&self, _port: Port, _payload: Bytes) -> Option<u64> {
+            Some(self.pushes.fetch_add(1, Ordering::SeqCst) as u64)
+        }
+        fn wait_acked(&self, _ticket: u64, _deadline: std::time::Instant) -> bool {
+            true
+        }
+        fn peer_key(&self) -> u64 {
+            1
+        }
+        fn is_closed(&self) -> bool {
+            false
+        }
+    }
+
+    /// Sends `ValidateCache` of `cap` from `channel`'s connection.
+    fn validate_from(
+        handler: &FileServerHandler,
+        channel: &Arc<dyn CallbackChannel>,
+        cap: Capability,
+    ) -> Reply {
+        let mut payload = BytesMut::new();
+        payload.put_u32_le(0);
+        handler.handle_from(
+            Request::new(FsOp::ValidateCache as u32, cap, payload.freeze()),
+            Some(channel),
+        )
+    }
+
     #[test]
     fn invalid_caps_plant_no_lease_grant() {
-        use amoeba_capability::Port;
-        use bytes::BufMut;
-
-        struct NullChannel;
-        impl CallbackChannel for NullChannel {
-            fn push(&self, _port: Port, _payload: Bytes) -> Option<u64> {
-                Some(1)
-            }
-            fn wait_acked(&self, _ticket: u64, _deadline: std::time::Instant) -> bool {
-                true
-            }
-            fn peer_key(&self) -> u64 {
-                1
-            }
-            fn is_closed(&self) -> bool {
-                false
-            }
-        }
-
         let service = FileService::in_memory();
         let handler = FileServerHandler::new(Arc::clone(&service));
-        let channel: Arc<dyn CallbackChannel> = Arc::new(NullChannel);
-        let validate = |cap: Capability| {
-            let mut payload = BytesMut::new();
-            payload.put_u32_le(0);
-            handler.handle_from(
-                Request::new(FsOp::ValidateCache as u32, cap, payload.freeze()),
-                Some(&channel),
-            )
-        };
+        let channel: Arc<dyn CallbackChannel> = Arc::new(CountingChannel::default());
+        let leases = service.leases();
 
         // A forged capability is refused before any grant is registered: no
         // committing writer must ever break or wait on it.
         let bogus = Capability::null();
-        let reply = validate(bogus);
-        assert!(!reply.is_ok());
-        assert_eq!(handler.lease_manager().granted_total(), 0);
-        assert_eq!(handler.lease_manager().live_grants(bogus.object), 0);
+        assert!(!validate_from(&handler, &channel, bogus).is_ok());
+        assert_eq!(leases.granted_total(), 0);
+        assert_eq!(leases.live_grants(bogus.object), 0);
 
         // A genuine capability still grants.
         let file = service.create_file().unwrap();
-        assert!(validate(file).is_ok());
-        assert_eq!(handler.lease_manager().granted_total(), 1);
-        assert_eq!(handler.lease_manager().live_grants(file.object), 1);
+        assert!(validate_from(&handler, &channel, file).is_ok());
+        assert_eq!(leases.granted_total(), 1);
+        assert_eq!(leases.live_grants(file.object), 1);
+    }
+
+    #[test]
+    fn a_refused_commit_breaks_no_lease() {
+        let service = FileService::in_memory();
+        let handler = FileServerHandler::new(Arc::clone(&service));
+        let counting = Arc::new(CountingChannel::default());
+        let channel: Arc<dyn CallbackChannel> = Arc::clone(&counting) as _;
+        let file = service.create_file().unwrap();
+        assert!(validate_from(&handler, &channel, file).is_ok());
+        assert_eq!(service.leases().live_grants(file.object), 1);
+
+        // The current version is committed already, so the commit is refused
+        // and must leave the reader's lease alone.
+        let current = service.current_version(&file).unwrap();
+        let reply = handler.handle(Request::empty(FsOp::Commit as u32, current));
+        assert!(!reply.is_ok());
+        assert_eq!(decode_error(reply.payload), FsError::AlreadyCommitted);
+        assert_eq!(
+            counting.pushes.load(Ordering::SeqCst),
+            0,
+            "a refused commit pushed a lease break"
+        );
+        assert_eq!(service.leases().live_grants(file.object), 1);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //!
 //! * [`ops`] — the wire protocol: operation codes and argument marshalling,
 //! * [`handler`] — a [`FileServerHandler`] that turns incoming transactions into
-//!   calls on an `Arc<FileService>`,
-//! * [`lease`] — the [`LeaseManager`]: time-bounded read leases granted on
-//!   `ValidateCache` replies and settled (callback break + ack, or waited
-//!   out) by committing writers, shared across a server group's processes,
+//!   calls on an `Arc<FileService>` and grants read leases on `ValidateCache`
+//!   replies from the one table the service owns (`afs_core::lease`), which
+//!   `FileService::commit` itself settles,
 //! * [`process`] — [`ServerProcess`] (one registered port that can crash and restart),
 //!   [`ServerGroup`] (several replicated processes sharing the same file service
 //!   state, the paper's "replicated server processes"), and [`ShardedCluster`]
@@ -35,14 +34,12 @@
 pub mod block;
 pub mod dir;
 pub mod handler;
-pub mod lease;
 pub mod ops;
 pub mod process;
 
-pub use afs_core::FsError;
+pub use afs_core::{FsError, DEFAULT_LEASE_TTL};
 pub use block::{remote_replica_set, BlockServerHandler, BlockServerProcess, RemoteBlockStore};
 pub use dir::{DirServerHandler, DirServerProcess};
 pub use handler::FileServerHandler;
-pub use lease::{LeaseManager, DEFAULT_LEASE_TTL};
 pub use ops::{FsOp, ServerError};
 pub use process::{ClusterShard, ServerGroup, ServerProcess, ShardedCluster};

@@ -443,23 +443,6 @@ pub fn decode_validation(mut payload: Bytes) -> Option<(bool, u32, Vec<PagePath>
     Some((up_to_date, current, paths, ttl))
 }
 
-/// Encodes a lease-break callback payload: the file object id whose leases
-/// are void.  Pushed server→client in a callback frame when a writer commits
-/// under live leases.
-pub fn encode_lease_break(object: u64) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8);
-    buf.put_u64_le(object);
-    buf.freeze()
-}
-
-/// Decodes a lease-break callback payload.
-pub fn decode_lease_break(mut payload: Bytes) -> Option<u64> {
-    if payload.remaining() < 8 {
-        return None;
-    }
-    Some(payload.get_u64_le())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -578,12 +561,6 @@ mod tests {
         assert_eq!(block, 7);
         assert!(paths.is_empty());
         assert_eq!(ttl, 0);
-    }
-
-    #[test]
-    fn lease_break_round_trip() {
-        assert_eq!(decode_lease_break(encode_lease_break(0xdead)), Some(0xdead));
-        assert_eq!(decode_lease_break(Bytes::from_static(b"short")), None);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use amoeba_capability::Port;
 use amoeba_rpc::LocalNetwork;
 
 use crate::handler::FileServerHandler;
-use crate::lease::LeaseManager;
 
 /// One file-server process: a port on the network behind which a handler serves the
 /// shared file-service state.  Crashing the process makes the port unreachable; the
@@ -20,28 +19,13 @@ pub struct ServerProcess {
 }
 
 impl ServerProcess {
-    /// Starts a server process on a fresh port of `network`, with its own
-    /// lease manager (a standalone process is its own one-member group).
+    /// Starts a server process on a fresh port of `network`.  It grants
+    /// leases from the service's one table, which every commit settles, so
+    /// any number of processes may front one service, however they were
+    /// started.
     pub fn start(network: Arc<LocalNetwork>, service: Arc<FileService>) -> Self {
-        Self::start_with_lease_manager(network, service, Arc::new(LeaseManager::new()))
-    }
-
-    /// Starts a server process sharing the group-wide lease manager: a
-    /// commit arriving at any process of a group must settle leases granted
-    /// through every other, so the grant table cannot be per-process.
-    pub fn start_with_lease_manager(
-        network: Arc<LocalNetwork>,
-        service: Arc<FileService>,
-        lease: Arc<LeaseManager>,
-    ) -> Self {
         let port = Port::random();
-        network.register(
-            port,
-            Arc::new(FileServerHandler::with_lease_manager(
-                Arc::clone(&service),
-                lease,
-            )),
-        );
+        network.register(port, Arc::new(FileServerHandler::new(Arc::clone(&service))));
         ServerProcess {
             port,
             network,
@@ -74,33 +58,20 @@ impl ServerProcess {
 
 /// A group of replicated server processes serving the same file service, as in
 /// §5.4.1: "version access and file access can be guaranteed as long as one or more
-/// servers are operational".  The group shares one [`LeaseManager`]: leases
-/// granted through any member are settled by commits through any other.
+/// servers are operational".  Leases live in the service, so a lease granted
+/// through any member is broken by a commit through any other, or by one
+/// made in process.
 pub struct ServerGroup {
     processes: Vec<ServerProcess>,
-    lease: Arc<LeaseManager>,
 }
 
 impl ServerGroup {
-    /// Starts `replicas` processes over one shared file service and one
-    /// shared lease manager.
+    /// Starts `replicas` processes over one shared file service.
     pub fn start(network: &Arc<LocalNetwork>, service: &Arc<FileService>, replicas: usize) -> Self {
-        let lease = Arc::new(LeaseManager::new());
         let processes = (0..replicas)
-            .map(|_| {
-                ServerProcess::start_with_lease_manager(
-                    Arc::clone(network),
-                    Arc::clone(service),
-                    Arc::clone(&lease),
-                )
-            })
+            .map(|_| ServerProcess::start(Arc::clone(network), Arc::clone(service)))
             .collect();
-        ServerGroup { processes, lease }
-    }
-
-    /// The group-wide lease manager.
-    pub fn lease_manager(&self) -> &Arc<LeaseManager> {
-        &self.lease
+        ServerGroup { processes }
     }
 
     /// The ports of all replicas, in preference order.

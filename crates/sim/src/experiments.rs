@@ -33,7 +33,7 @@ use afs_client::RemoteFs;
 use afs_core::{
     FileService, FileStore, PagePath, Port, ServiceConfig, VersionOptions, NOTHING_CACHED,
 };
-use afs_server::{LeaseManager, ServerProcess};
+use afs_server::ServerProcess;
 use afs_workload::{airline_mix, compiler_temp_mix, AccessDistribution, MixConfig};
 use amoeba_block::{
     BlockServer, BlockStore, FaultyStore, MemStore, ReplicatedBlockStore, WriteOnceStore,
@@ -324,17 +324,17 @@ fn e3_row<T: Transport>(
 ) -> CacheRow {
     let network = Arc::new(LocalNetwork::new());
     // Retain every version the run commits: retiring the cached one would
-    // make validation answer "discard everything" and measure retention.
+    // make validation answer "discard everything" and measure retention.  A
+    // lease outlives the run, so only a break can end it.
     let service = FileService::with_config(
         Arc::new(BlockServer::new(Arc::new(MemStore::new()))),
         ServiceConfig {
             history_retention: remote_updates + 1,
+            lease_ttl: Duration::from_secs(3600),
             ..ServiceConfig::default()
         },
     );
-    // A lease outlives the run, so only a break can end it.
-    let lease = Arc::new(LeaseManager::with_ttl(Duration::from_secs(3600)));
-    let server = ServerProcess::start_with_lease_manager(Arc::clone(&network), service, lease);
+    let server = ServerProcess::start(Arc::clone(&network), service);
     let writer = RemoteFs::new(connect(&network), vec![server.port()]);
     let reader = RemoteFs::new(connect(&network), vec![server.port()]);
 

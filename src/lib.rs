@@ -121,14 +121,18 @@
 //! valid.  That stays the universal fallback — correct over any transport,
 //! including ones that cannot deliver server-initiated frames.  Over a
 //! *connected* transport the server upgrades it: a validation reply carries a
-//! time-bounded **lease** ([`afs_server::LeaseManager`]), and while the lease
-//! lives [`afs_client::RemoteFs`] answers revalidation from a local lease
-//! table, so a warm re-read — and, because directories are ordinary files, a
-//! warm path resolution through [`afs_client::NamedStore`] — costs **zero
-//! RPCs**.  A committing writer settles conflicting leases first: the server
-//! pushes a break frame down the holder's multiplexed connection (a reserved
-//! request id marks server-initiated frames) and waits for the ack, bounded
-//! by the lease's own expiry, before the commit proceeds — so a lease never
+//! time-bounded **lease** from the service's one grant table
+//! ([`afs_core::LeaseManager`], owned by the `FileService` and shared by every
+//! port in front of it), and while the lease lives [`afs_client::RemoteFs`]
+//! answers revalidation from a local lease table, so a warm re-read — and,
+//! because directories are ordinary files, a warm path resolution through
+//! [`afs_client::NamedStore`] — costs **zero RPCs**.  Every commit settles
+//! conflicting leases first, inside `FileService::commit` once its capability
+//! and state checks pass, whether it arrives through a file server, a
+//! directory server or an in-process caller: the service pushes a break frame
+//! down the holder's multiplexed connection (a reserved request id marks
+//! server-initiated frames) and waits for the ack, bounded by the lease's own
+//! expiry, before the commit proceeds — so a lease never
 //! lets a client observe newer-than-committed data, and after a break is
 //! acked the client cannot serve the stale value.  Clients trust only a
 //! fraction of the granted TTL measured from *before* the request was sent,

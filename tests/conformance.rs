@@ -379,7 +379,7 @@ fn sharded_remote_store_conforms_over_tcp() {
             ServiceConfig::default(),
         );
         let server = TcpServer::bind("127.0.0.1:0").expect("bind shard server");
-        // One handler, so both ports share the service's one lease table.
+        // Both ports grant from, and commits settle, the service's one lease table.
         let handler = Arc::new(FileServerHandler::new(Arc::clone(&service)));
         let ports: Vec<Port> = (0..2)
             .map(|_| {
@@ -1229,7 +1229,7 @@ fn named_paths_survive_any_single_replica_kill_and_resync_over_tcp() {
             },
         );
         let server = TcpServer::bind("127.0.0.1:0").expect("bind shard server");
-        // One handler, so both ports share the service's one lease table.
+        // Both ports grant from, and commits settle, the service's one lease table.
         let handler = Arc::new(FileServerHandler::new(Arc::clone(&service)));
         let ports: Vec<Port> = (0..2)
             .map(|_| {
@@ -1307,7 +1307,7 @@ fn named_paths_survive_any_single_replica_kill_and_resync_over_tcp() {
 // ---------------------------------------------------------------------------
 
 use afs_client::ClientCache;
-use afs_server::{LeaseManager, ServerProcess};
+use afs_server::ServerProcess;
 use std::time::{Duration, Instant};
 
 /// The tentpole's accounting proof: with a live lease, a warm revalidate+read
@@ -1405,15 +1405,30 @@ fn leased_warm_reads_and_resolves_cost_exactly_zero_rpcs() {
 }
 
 /// A service has one lease table, however many ports front it: a lease
-/// granted through port 0 of a group is broken by a commit through port 1,
-/// and the holder's next revalidation costs one round trip and returns the
-/// new version.
+/// granted through one port is broken by a commit through another, and the
+/// holder's next revalidation costs one round trip and returns the new
+/// version.  The ports come from one `ServerGroup`, and then from two
+/// processes started apart, each with its own `FileServerHandler`.
 #[test]
 fn a_lease_granted_through_one_port_is_broken_by_a_commit_through_another() {
     let network = Arc::new(LocalNetwork::new());
     let service = FileService::in_memory();
     let group = ServerGroup::start(&network, &service, 2);
     let (p0, p1) = (group.process(0).port(), group.process(1).port());
+    lease_through_one_port_is_broken_through_another(&network, &service, p0, p1);
+
+    let service = FileService::in_memory();
+    let a = ServerProcess::start(Arc::clone(&network), Arc::clone(&service));
+    let b = ServerProcess::start(Arc::clone(&network), Arc::clone(&service));
+    lease_through_one_port_is_broken_through_another(&network, &service, a.port(), b.port());
+}
+
+fn lease_through_one_port_is_broken_through_another(
+    network: &Arc<LocalNetwork>,
+    service: &Arc<FileService>,
+    p0: Port,
+    p1: Port,
+) {
     let counting = Arc::new(CountingTransport::new(network.connect()));
     let reader = RemoteFs::new(Arc::clone(&counting), vec![p0]);
     let writer = RemoteFs::new(network.connect(), vec![p1]);
@@ -1454,6 +1469,58 @@ fn a_lease_granted_through_one_port_is_broken_by_a_commit_through_another() {
         service.current_version_block(&file).unwrap()
     );
     assert!(!validation.keeps(&page));
+}
+
+/// A commit made in process breaks leases too: a directory server over the
+/// service itself commits through `FileService::commit`, and a reader that
+/// leased the directory file through a file-server port sees the break and
+/// pays one RPC for the new table.
+#[test]
+fn a_dir_server_commit_in_process_breaks_a_lease_granted_through_a_file_port() {
+    let network = Arc::new(LocalNetwork::new());
+    let service = FileService::in_memory();
+    let group = ServerGroup::start(&network, &service, 1);
+    let root = DirStore::new(Arc::clone(&service)).create_root().unwrap();
+    let dir_server = DirServerProcess::start(Arc::clone(&network), Arc::clone(&service), root);
+    let dirs = RemoteDir::new(Arc::clone(&network), vec![dir_server.port()]);
+    let counting = Arc::new(CountingTransport::new(network.connect()));
+    let reader = RemoteFs::new(Arc::clone(&counting), group.ports());
+
+    let cached = reader
+        .validate_cache(root.cap(), afs_core::NOTHING_CACHED)
+        .unwrap()
+        .current_block;
+    let before = counting.round_trips();
+    assert!(
+        reader
+            .validate_cache(root.cap(), cached)
+            .unwrap()
+            .up_to_date
+    );
+    assert_eq!(
+        counting.round_trips() - before,
+        0,
+        "leased through the group"
+    );
+
+    let broken = reader.stats().leases_broken;
+    let file = service.create_file().unwrap();
+    dirs.link(&root, "entry", file, Rights::READ, EntryKind::File)
+        .unwrap();
+    assert_eq!(
+        reader.stats().leases_broken,
+        broken + 1,
+        "the dir server's link must break the lease on the directory file"
+    );
+
+    let before = counting.round_trips();
+    let validation = reader.validate_cache(root.cap(), cached).unwrap();
+    assert_eq!(counting.round_trips() - before, 1);
+    assert!(!validation.up_to_date);
+    assert_eq!(
+        validation.current_block,
+        service.current_version_block(root.cap()).unwrap()
+    );
 }
 
 /// The tentpole's hard invariant: a lease never lets a client observe
@@ -1516,9 +1583,16 @@ fn leases_never_serve_uncommitted_or_post_break_stale_data() {
 #[test]
 fn expired_leases_fall_back_to_exactly_one_revalidation() {
     let network = Arc::new(LocalNetwork::new());
-    let service = FileService::in_memory();
-    let lease = Arc::new(LeaseManager::with_ttl(Duration::from_millis(250)));
-    let process = ServerProcess::start_with_lease_manager(Arc::clone(&network), service, lease);
+    let service = FileService::with_config(
+        Arc::new(afs_core::BlockServer::new(Arc::new(
+            afs_core::MemStore::new(),
+        ))),
+        afs_core::ServiceConfig {
+            lease_ttl: Duration::from_millis(250),
+            ..afs_core::ServiceConfig::default()
+        },
+    );
+    let process = ServerProcess::start(Arc::clone(&network), service);
     let counting = Arc::new(CountingTransport::new(network.connect()));
     let remote = RemoteFs::new(Arc::clone(&counting), vec![process.port()]);
 
