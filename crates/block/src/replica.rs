@@ -631,11 +631,6 @@ impl ReplicatedBlockStore {
         self.shared.membership.epoch()
     }
 
-    /// The membership status of replica `idx`.
-    pub fn replica_status(&self, idx: usize) -> ReplicaStatus {
-        self.shared.membership.status(idx)
-    }
-
     /// Direct access to a replica's disk, for test assertions and fault injection.
     pub fn replica(&self, idx: usize) -> &Arc<dyn BlockStore> {
         &self.shared.replicas[idx].store

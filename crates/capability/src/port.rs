@@ -39,12 +39,6 @@ impl Port {
         Port(rand::random::<u64>() & PORT_MASK).ensure_non_null()
     }
 
-    /// Generates a fresh random port from a caller-supplied RNG (for reproducible
-    /// experiments).
-    pub fn random_from(rng: &mut impl rand::Rng) -> Self {
-        Port(rng.gen::<u64>() & PORT_MASK).ensure_non_null()
-    }
-
     /// Derives the public put-port that clients use to address the service that
     /// listens on this (private) get-port.
     pub fn put_port(self) -> Port {

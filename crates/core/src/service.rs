@@ -252,8 +252,9 @@ pub struct FileService {
     /// lock fields ("locks are made of ports", §5.3).
     pub(crate) port: Port,
     /// Ports known to belong to crashed updates; waiters use this to trigger lock
-    /// recovery instead of waiting forever.  Fed by the experiment harness or by
-    /// `afs-server` when it observes a client/server failure.
+    /// recovery instead of waiting forever.  Fed only through
+    /// [`FileService::report_crashed_port`]; no server or client reports a
+    /// crash yet, so today only the `locking` tests do.
     pub(crate) crashed_ports: RwLock<HashSet<Port>>,
     /// Commit-path statistics.
     pub(crate) commit_stats: CommitStats,
@@ -383,11 +384,6 @@ impl FileService {
     /// the §5.3 lock-recovery procedure.
     pub fn report_crashed_port(&self, port: Port) {
         self.crashed_ports.write().insert(port);
-    }
-
-    /// Clears a previously reported crash (e.g. the update's owner restarted).
-    pub fn clear_crashed_port(&self, port: Port) {
-        self.crashed_ports.write().remove(&port);
     }
 
     pub(crate) fn is_port_crashed(&self, port: Port) -> bool {

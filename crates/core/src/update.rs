@@ -20,9 +20,7 @@ use bytes::Bytes;
 use amoeba_capability::Capability;
 
 use crate::commit::CommitReceipt;
-use crate::cow::PageInfo;
 use crate::path::PagePath;
-use crate::service::FileService;
 use crate::store::FileStore;
 use crate::types::{FsError, Result};
 
@@ -259,17 +257,10 @@ pub trait FileStoreExt: FileStore {
 
 impl<S: FileStore + ?Sized> FileStoreExt for S {}
 
-impl FileService {
-    /// Shape information for a page inside an [`Update`] running directly
-    /// against a local service (not part of the remote protocol).
-    pub fn update_page_info(&self, update: &Update<'_, Self>, path: &PagePath) -> Result<PageInfo> {
-        self.page_info(update.version(), path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::FileService;
     use std::sync::Arc;
 
     fn counter_file(service: &Arc<FileService>) -> (Capability, PagePath) {

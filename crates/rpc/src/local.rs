@@ -161,12 +161,6 @@ impl LocalNetwork {
         self.unreachable.write().remove(&port);
     }
 
-    /// Replaces the fault configuration.
-    pub fn set_faults(&self, faults: NetworkFaults) {
-        *self.rng.lock() = StdRng::seed_from_u64(faults.seed);
-        *self.faults.lock() = faults;
-    }
-
     /// Total number of transactions attempted through this network.
     pub fn transaction_count(&self) -> u64 {
         self.transactions.load(Ordering::Relaxed)

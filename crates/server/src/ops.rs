@@ -422,8 +422,8 @@ pub fn encode_validation(
 }
 
 /// Decodes a cache-validation result: (up-to-date, current block, changed
-/// paths, lease ttl in ms).  The trailing ttl word is optional on the wire
-/// (pre-lease servers end after the paths), decoding as "no lease".
+/// paths, lease ttl in ms).  The trailing ttl word is required; a reply that
+/// ends after the paths is malformed.
 pub fn decode_validation(mut payload: Bytes) -> Option<(bool, u32, Vec<PagePath>, u32)> {
     if payload.remaining() < 9 {
         return None;
@@ -435,12 +435,10 @@ pub fn decode_validation(mut payload: Bytes) -> Option<(bool, u32, Vec<PagePath>
     for _ in 0..count {
         paths.push(decode_path(&mut payload)?);
     }
-    let ttl = if payload.remaining() >= 4 {
-        payload.get_u32_le()
-    } else {
-        0
-    };
-    Some((up_to_date, current, paths, ttl))
+    if payload.remaining() < 4 {
+        return None;
+    }
+    Some((up_to_date, current, paths, payload.get_u32_le()))
 }
 
 #[cfg(test)]
@@ -552,15 +550,11 @@ mod tests {
     }
 
     #[test]
-    fn validation_without_ttl_word_decodes_as_no_lease() {
-        // A pre-lease reply ends right after the changed paths.
-        let encoded = encode_validation(true, 7, &[], 99);
-        let legacy = encoded.slice(..encoded.len() - 4);
-        let (up, block, paths, ttl) = decode_validation(legacy).unwrap();
-        assert!(up);
-        assert_eq!(block, 7);
-        assert!(paths.is_empty());
-        assert_eq!(ttl, 0);
+    fn validation_without_ttl_word_is_refused() {
+        // A reply that ends right after the changed paths is malformed.
+        let encoded = encode_validation(true, 7, &[PagePath::root()], 99);
+        let short = encoded.slice(..encoded.len() - 4);
+        assert!(decode_validation(short).is_none());
     }
 
     #[test]

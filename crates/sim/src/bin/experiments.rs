@@ -3,9 +3,9 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p afs-bench --release --bin experiments -- all
-//! cargo run -p afs-bench --release --bin experiments -- e1 e4 e7
-//! cargo run -p afs-bench --release --bin experiments -- quick   # small parameters
+//! cargo run -p afs-sim --release --bin experiments -- all
+//! cargo run -p afs-sim --release --bin experiments -- e1 e4 e7
+//! cargo run -p afs-sim --release --bin experiments -- quick   # small parameters
 //! ```
 //!
 //! Each experiment prints its rows; the `afs_sim::experiments` module docs list

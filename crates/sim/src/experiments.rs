@@ -1,9 +1,9 @@
 //! The per-experiment sweeps E1–E14.
 //!
 //! Every function here regenerates one of the paper's claims: it builds the systems
-//! involved, runs the workload, and returns printable rows.  The `experiments` binary
-//! of the `afs-bench` crate runs them by id
-//! (`cargo run -p afs-bench --release --bin experiments -- e3`).
+//! involved, runs the workload, and returns printable rows.  This crate's
+//! `experiments` binary runs them by id
+//! (`cargo run -p afs-sim --release --bin experiments -- e3`).
 //!
 //! | Id | Claim (paper section) |
 //! |---|---|
@@ -1526,6 +1526,16 @@ mod tests {
         for row in &rows {
             assert_eq!(row.retired_blocks, row.blocks_per_leaf_update + 1, "{row}");
         }
+    }
+
+    #[test]
+    fn e9_one_page_temporary_files_never_abort() {
+        let rows = e9_one_page_files(16, 20);
+        let temp = rows
+            .iter()
+            .find(|r| r.scenario == "compiler-temp" && r.mechanism == "amoeba-occ")
+            .unwrap();
+        assert_eq!(temp.abort_ratio, 0.0, "{temp}");
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! [`experiments`]).
 //!
 //! Every experiment is a plain function returning printable rows, so the same code
-//! backs the `cargo bench` targets, the `experiments` binary in `afs-bench`, and the
-//! smoke tests in this crate.
+//! backs this crate's `experiments` binary and its smoke tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
