@@ -281,8 +281,18 @@ impl BlockServer {
         result
     }
 
-    /// Frees a block owned by the account of `cap`.
+    /// Frees a block owned by the account of `cap` (unstamped; see
+    /// [`BlockServer::free_epoch`]).
     pub fn free(&self, cap: &Capability, nr: BlockNr) -> Result<()> {
+        self.free_epoch(cap, 0, nr)
+    }
+
+    /// Frees a block owned by the account of `cap`, stamped with the sender's
+    /// membership epoch: the epoch gate runs first, as for
+    /// [`BlockServer::write_batch_epoch`], so a stale coordinator frees
+    /// nothing.
+    pub fn free_epoch(&self, cap: &Capability, epoch: u64, nr: BlockNr) -> Result<()> {
+        self.admit_epoch(epoch)?;
         let account = self.check(cap, Rights::DESTROY)?;
         self.check_owned(account, nr)?;
         self.store.free(nr)?;

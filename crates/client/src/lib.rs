@@ -22,11 +22,9 @@
 //!   (`/a/b/c` → capability) over any [`afs_core::FileStore`], backed by a
 //!   generation-checked prefix cache keyed like [`ClientCache`]; directories
 //!   are ordinary files (crate `afs-dir`), so naming inherits OCC, durability,
-//!   replication and sharding wholesale.
-//! * [`RemoteDir`] — the client stub of the directory-server protocol
-//!   (`afs_server::DirServerHandler`): one transaction per operation, with a
-//!   k-entry `ReadDir` in a single round trip, failing over across directory
-//!   server processes like [`RemoteFs`] does.
+//!   replication and sharding wholesale.  Over [`RemoteFs`] or a remote
+//!   [`ShardedStore`] every directory operation travels as file operations,
+//!   so naming has no protocol or server of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,16 +33,10 @@ mod cache;
 mod lease;
 mod named;
 mod remote;
-mod remote_dir;
 mod sharded;
 
+pub use afs_core::{FileStore, FileStoreExt, FsError, RetryPolicy};
 pub use cache::{CacheStats, ClientCache};
 pub use named::{NameCacheStats, NamedStore};
 pub use remote::RemoteFs;
-pub use remote_dir::RemoteDir;
 pub use sharded::ShardedStore;
-
-/// Historical alias: the client-visible error type is the unified
-/// [`afs_core::FsError`] today.
-pub use afs_core::FsError as ServerError;
-pub use afs_core::{FileStore, FileStoreExt, FsError, RetryPolicy};

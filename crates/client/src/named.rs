@@ -85,8 +85,8 @@ impl<S: FileStore> NamedStore<S> {
         })
     }
 
-    /// Wraps an existing hierarchy rooted at `root` (e.g. one obtained from a
-    /// directory server or another client).
+    /// Wraps an existing hierarchy rooted at `root` (e.g. another client's
+    /// [`NamedStore::root`], shared over the same file service).
     pub fn with_root(store: S, root: DirCap) -> Self {
         NamedStore {
             dirs: DirStore::new(store),

@@ -103,7 +103,7 @@
 //! Cross-directory rename is an ordered pair of idempotent commits (insert at
 //! the destination, then remove at the source), so a renamed entry is never
 //! unreachable.  Path resolution and its prefix cache live in
-//! `afs_client::NamedStore`; the RPC façade in `afs_server::dir`.
+//! `afs_client::NamedStore`.
 //!
 //! ## Durability at commit — one ordered batch
 //!

@@ -18,6 +18,7 @@ use std::time::Duration;
 use bytes::Bytes;
 
 use amoeba_capability::Capability;
+use amoeba_rpc::Backoff;
 
 use crate::commit::CommitReceipt;
 use crate::path::PagePath;
@@ -25,68 +26,37 @@ use crate::store::FileStore;
 use crate::types::{FsError, Result};
 
 /// How [`FileStoreExt::update_with`] retries conflicting updates.
+///
+/// Before attempt n ≥ 2 the loop sleeps a time drawn uniformly from
+/// `[d/2, d]`, where `d = min(20 µs · 2^(n−2), 2 ms)`: one
+/// [`amoeba_rpc::Backoff`] schedule per update, seeded from the clock so
+/// that conflicting clients do not retry in lock-step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum number of attempts (each on a fresh version) before giving up
     /// with [`FsError::SerialisabilityConflict`].  Clamped to at least 1.
     pub max_attempts: usize,
-    /// Backoff before the second attempt; doubles per further attempt.
-    pub base_backoff: Duration,
-    /// Upper bound on the per-attempt backoff.
-    pub max_backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 64,
-            base_backoff: Duration::from_micros(20),
-            max_backoff: Duration::from_millis(2),
-        }
+        RetryPolicy { max_attempts: 64 }
     }
 }
 
 impl RetryPolicy {
     /// A policy with a different attempt bound and the default backoff shape.
     pub fn with_max_attempts(max_attempts: usize) -> Self {
-        RetryPolicy {
-            max_attempts,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Sleeps for the bounded, jittered backoff of attempt number `attempt`
-    /// (1-based; attempt 1 never sleeps).
-    fn back_off(&self, attempt: usize) {
-        if attempt <= 1 || self.base_backoff.is_zero() {
-            return;
-        }
-        let doublings = (attempt - 2).min(16) as u32;
-        let ceiling = self
-            .base_backoff
-            .saturating_mul(1 << doublings)
-            .min(self.max_backoff)
-            .max(self.base_backoff);
-        // Jitter in [ceiling/2, ceiling] desynchronises convoys of conflicting
-        // clients without pulling a RNG dependency into the core crate.
-        let nanos = ceiling.as_nanos().max(1) as u64;
-        let jitter = splitmix(attempt as u64 ^ clock_entropy()) % (nanos / 2 + 1);
-        std::thread::sleep(Duration::from_nanos(nanos / 2 + jitter));
+        RetryPolicy { max_attempts }
     }
 }
 
-fn clock_entropy() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64)
-        .unwrap_or(0)
-}
-
-fn splitmix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// The backoff schedule of one update's retries (see [`RetryPolicy`]).
+fn retry_backoff() -> Backoff {
+    let now = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
+    let seed = now.map_or(0, |d| d.as_nanos() as u64);
+    let (base, cap) = (Duration::from_micros(20), Duration::from_millis(2));
+    Backoff::with_seed(base, cap, u32::MAX, seed)
 }
 
 /// A typed handle on one update attempt: owns the version capability and
@@ -193,8 +163,13 @@ pub trait FileStoreExt: FileStore {
         mut op: impl FnMut(&mut Update<'_, Self>) -> Result<R>,
     ) -> Result<Committed<R>> {
         let max_attempts = policy.max_attempts.max(1);
+        // Built on the first conflict, so an update that commits at once
+        // reads no clock.
+        let mut backoff = None;
         for attempt in 1..=max_attempts {
-            policy.back_off(attempt);
+            if attempt > 1 {
+                backoff.get_or_insert_with(retry_backoff).sleep_next();
+            }
             let version = self.create_version(file)?;
             let mut update = Update {
                 store: self,

@@ -32,9 +32,9 @@
 //!
 //! The crate is deliberately transport-agnostic: [`DirStore`] works over any
 //! [`afs_core::FileStore`] — a local `FileService`, a remote connection, or a
-//! sharded router.  The RPC façade (`afs_server::DirServerHandler`) and the
-//! path-resolving client with its prefix cache (`afs_client::NamedStore`) are
-//! thin layers over this crate.
+//! sharded router.  The path-resolving client with its prefix cache
+//! (`afs_client::NamedStore`) is a thin layer over this crate; a remote
+//! client reaches directories through the file protocol like any other file.
 //!
 //! ```
 //! use afs_core::FileService;

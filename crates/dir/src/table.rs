@@ -51,8 +51,8 @@ pub enum EntryKind {
 }
 
 impl EntryKind {
-    /// Wire encoding of the kind.
-    pub fn to_u8(self) -> u8 {
+    /// On-page encoding of the kind.
+    fn to_u8(self) -> u8 {
         match self {
             EntryKind::File => 0,
             EntryKind::Directory => 1,
@@ -60,7 +60,7 @@ impl EntryKind {
     }
 
     /// Decodes a kind byte.
-    pub fn from_u8(v: u8) -> Option<EntryKind> {
+    fn from_u8(v: u8) -> Option<EntryKind> {
         match v {
             0 => Some(EntryKind::File),
             1 => Some(EntryKind::Directory),

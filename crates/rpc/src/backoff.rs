@@ -1,13 +1,14 @@
 //! Bounded exponential backoff with deterministic jitter for client retry
 //! loops.
 //!
-//! The failover loops of the client stubs (`RemoteFs`, `RemoteDir`,
-//! `RemoteBlockStore`) and the TCP connect path originally retried
-//! *immediately*: one tight pass over the server list and give up.  Against a
-//! transient outage — a server restarting, a partition healing — an immediate
-//! retry is both too eager (it hammers a recovering server at the worst
-//! moment) and too impatient (it gives up milliseconds before the server is
-//! back).  [`Backoff`] packages the standard remedy:
+//! The failover loops of the client stubs (`RemoteFs`, `RemoteBlockStore`),
+//! the TCP connect path and `afs_core`'s update retry loop all sleep on it.
+//! The stubs originally retried *immediately*: one tight pass over the
+//! server list and give up.  Against a transient outage — a server
+//! restarting, a partition healing — an immediate retry is both too eager
+//! (it hammers a recovering server at the worst moment) and too impatient
+//! (it gives up milliseconds before the server is back).  [`Backoff`]
+//! packages the standard remedy:
 //!
 //! * **exponential** — the n-th delay doubles the previous one, so a short
 //!   blip costs microseconds and a real outage backs the client off quickly;
@@ -19,7 +20,7 @@
 //!   thundering herd) spreads back out.  The jitter source is a tiny
 //!   deterministic xorshift generator seeded by the caller — reproducible in
 //!   tests, decorrelated in production by seeding from the connection
-//!   identity.
+//!   identity (or, for update retries, from the clock).
 //!
 //! The type is a plain iterator-style state machine with no clock of its own:
 //! callers ask for [`Backoff::next_delay`] and sleep (or schedule) however

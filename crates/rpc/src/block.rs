@@ -31,7 +31,9 @@ pub enum BlockOp {
     Allocate = 3,
     /// Allocate a specific block number.  Payload: u32.
     AllocateAt = 4,
-    /// Free a block.  Payload: u32.
+    /// Free a block.  Payload: u64 membership epoch (0 = unstamped) + u32
+    /// block number, so a stale coordinator's free is fenced off like its
+    /// `WriteBlocks`.
     Free = 5,
     /// Read a block.  Payload: u32.  Reply: the data.
     Read = 6,
@@ -73,7 +75,7 @@ impl BlockOp {
     }
 }
 
-/// Encodes a lone block number (the `AllocateAt`/`Free`/`Read`/`IsAllocated`
+/// Encodes a lone block number (the `AllocateAt`/`Read`/`IsAllocated`
 /// payload and the `Allocate` reply).
 pub fn encode_block_nr(nr: u32) -> Bytes {
     Bytes::from(nr.to_le_bytes().to_vec())
@@ -85,6 +87,23 @@ pub fn decode_block_nr(mut payload: Bytes) -> Option<u32> {
         return None;
     }
     Some(payload.get_u32_le())
+}
+
+/// Encodes the `Free` payload: the sender's membership epoch (0 when the
+/// sender is not part of a replica set) followed by the block number.
+pub fn encode_block_free(epoch: u64, nr: u32) -> Bytes {
+    let mut buf = BytesMut::with_capacity(12);
+    buf.put_u64_le(epoch);
+    buf.put_u32_le(nr);
+    buf.freeze()
+}
+
+/// Decodes the `Free` payload into `(epoch, block)`.
+pub fn decode_block_free(mut payload: Bytes) -> Option<(u64, u32)> {
+    if payload.remaining() < 12 {
+        return None;
+    }
+    Some((payload.get_u64_le(), payload.get_u32_le()))
 }
 
 /// Encodes the `Write` payload: block number followed by the raw data.
@@ -258,6 +277,9 @@ mod tests {
         assert_eq!(data, Bytes::from_static(b"data"));
         assert_eq!(decode_block_nr(encode_block_nr(5)).unwrap(), 5);
         assert_eq!(decode_block_nr(Bytes::new()), None);
+        assert_eq!(decode_block_free(encode_block_free(3, 5)), Some((3, 5)));
+        // A bare block number is not a `Free` payload: the epoch is required.
+        assert_eq!(decode_block_free(encode_block_nr(5)), None);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //!   completion) and the generic [`MuxClient`] (server failover under a
 //!   [`FailoverPolicy`], [`Backoff`]-driven retry, uniform [`ClientStats`])
 //!   that the typed client stubs wrap,
-//! * [`LocalNetwork`] (alias [`LocalTransport`]) — an in-process transport
+//! * [`LocalNetwork`] — an in-process transport
 //!   connecting clients to registered [`RequestHandler`]s, with configurable
 //!   latency, message loss and partitions for the robustness experiments,
 //! * [`tcp`] — the real TCP transport: a leader/follower thread pool on the
@@ -53,10 +53,11 @@
 //!   per connection, and
 //! * [`block`] — the wire protocol of the block service, including the
 //!   [`block::BlockOp::WriteBlocks`] scatter-gather op that carries a commit
-//!   flush to each replica disk as a single request, and
-//! * [`dir`] — the wire protocol of the directory service: name → capability
-//!   bindings served over the same transaction model, with a k-entry
-//!   [`dir::DirOp::ReadDir`] as one round trip.
+//!   flush to each replica disk as a single request.
+//!
+//! The directory service has no protocol of its own: directories are
+//! ordinary files (crate `afs-dir`), so naming reaches a remote service
+//! through the file protocol.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +65,6 @@
 pub mod backoff;
 pub mod block;
 pub mod codec;
-pub mod dir;
 mod error;
 mod local;
 mod message;
@@ -76,10 +76,6 @@ pub use error::RpcError;
 pub use local::{LocalConn, LocalNetwork, NetworkFaults};
 pub use message::{Reply, Request, Status, MAX_FRAME_PAYLOAD, MAX_PAYLOAD};
 pub use mux::{ClientStats, FailoverPolicy, MuxClient, MuxCore};
-
-/// The in-process transport, under the name the transport-generic client
-/// stack uses for it.
-pub type LocalTransport = LocalNetwork;
 
 /// Result alias for RPC operations.
 pub type Result<T> = std::result::Result<T, RpcError>;

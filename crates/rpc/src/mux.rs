@@ -14,7 +14,7 @@
 //!   [`Transport`]: server selection, [`FailoverPolicy`]-controlled failover
 //!   across replicas, [`Backoff`]-driven whole-sweep retry rounds, and
 //!   uniform [`ClientStats`].  The typed client stubs (`RemoteFs`,
-//!   `RemoteDir`, `RemoteBlockStore`) are thin wrappers over a `MuxClient`,
+//!   `RemoteBlockStore`) are thin wrappers over a `MuxClient`,
 //!   each just marshalling payloads and picking the failover policy its
 //!   consistency contract allows.
 //!
@@ -27,12 +27,9 @@
 //!   (crash, missing port, timeout, drop).  Correct for idempotent
 //!   operations, and for the file service's mutations, which are
 //!   version-directed writes to uncommitted state: re-executing one is
-//!   harmless (PR 2's semantics, kept here).
-//! * [`FailoverPolicy::WhenUnreached`] retries only errors that prove the
-//!   request never executed (`ServerCrashed`, `NoSuchPort`).  A `Timeout` or
-//!   `Dropped` is ambiguous — the mutation may have happened — so it is
-//!   surfaced to the caller.  This is the directory service's contract for
-//!   `link`/`unlink`/`rename`/`mkdir`.
+//!   harmless (PR 2's semantics, kept here).  A re-sent commit that already
+//!   took effect is answered `AlreadyCommitted`, which the file service's
+//!   `update` loop reports as success rather than redoing the update.
 //! * [`FailoverPolicy::Never`] makes exactly one attempt.  The replicated
 //!   block layer wants prompt failure for mutations so it can depose the
 //!   replica and queue an intention, not a client that papers over a dying
@@ -328,10 +325,6 @@ pub enum FailoverPolicy {
     /// Fail over on any transport failure (crash, missing port, timeout,
     /// drop).  For idempotent reads and re-executable mutations.
     Always,
-    /// Fail over only when the error proves the request never executed
-    /// (`ServerCrashed`, `NoSuchPort`); ambiguous outcomes surface to the
-    /// caller.  For non-idempotent mutations.
-    WhenUnreached,
     /// One attempt, first server, no retry.  For callers that handle
     /// failure themselves (the replica layer's depose-and-resync path).
     Never,
@@ -347,9 +340,6 @@ impl FailoverPolicy {
                     | RpcError::Timeout
                     | RpcError::Dropped
             ),
-            FailoverPolicy::WhenUnreached => {
-                matches!(err, RpcError::ServerCrashed | RpcError::NoSuchPort)
-            }
             FailoverPolicy::Never => false,
         }
     }

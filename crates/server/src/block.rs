@@ -28,8 +28,8 @@ use amoeba_block::{
 };
 use amoeba_capability::{Capability, Port};
 use amoeba_rpc::block::{
-    chunk_block_writes, decode_block_list, decode_block_nr, decode_block_write,
-    decode_block_writes, encode_block_list, encode_block_nr, encode_block_write,
+    chunk_block_writes, decode_block_free, decode_block_list, decode_block_nr, decode_block_write,
+    decode_block_writes, encode_block_free, encode_block_list, encode_block_nr, encode_block_write,
     encode_block_writes, BlockOp,
 };
 use amoeba_rpc::{
@@ -192,8 +192,8 @@ impl BlockServerHandler {
                 Ok(Bytes::new())
             }
             BlockOp::Free => {
-                let nr = decode_block_nr(request.payload).ok_or_else(bad_args)?;
-                self.server.free(&request.cap, nr)?;
+                let (epoch, nr) = decode_block_free(request.payload).ok_or_else(bad_args)?;
+                self.server.free_epoch(&request.cap, epoch, nr)?;
                 Ok(Bytes::new())
             }
             BlockOp::Read => {
@@ -299,7 +299,7 @@ pub struct RemoteBlockStore<T: Transport> {
     block_size: usize,
     /// The replica set's current membership epoch, pushed down by
     /// `ReplicatedBlockStore` via [`BlockStore::set_epoch`] and stamped into
-    /// every `WriteBlocks` request (0 = not part of a replica set).
+    /// every `WriteBlocks` and `Free` request (0 = not part of a replica set).
     epoch: std::sync::atomic::AtomicU64,
 }
 
@@ -405,7 +405,9 @@ impl<T: Transport> BlockStore for RemoteBlockStore<T> {
     }
 
     fn free(&self, nr: BlockNr) -> amoeba_block::Result<()> {
-        self.call(BlockOp::Free, encode_block_nr(nr))?;
+        // Stamped like `write_batch`, so a fenced-off coordinator frees nothing.
+        let epoch = self.epoch.load(std::sync::atomic::Ordering::SeqCst);
+        self.call(BlockOp::Free, encode_block_free(epoch, nr))?;
         Ok(())
     }
 
@@ -598,6 +600,15 @@ mod tests {
                 current: 5
             })
         );
+        // Its free is fenced off too, even of its own block.
+        assert_eq!(
+            stale.free(theirs),
+            Err(BlockError::EpochMismatch {
+                sent: 3,
+                current: 5
+            })
+        );
+        assert!(stale.is_allocated(theirs), "a refused free frees nothing");
         // The stamp is monotonic client-side too: catching up heals it.
         stale.set_epoch(5);
         stale

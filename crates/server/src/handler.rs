@@ -8,8 +8,8 @@
 //! never leaves a lease covering a stale answer.
 //!
 //! The settle is not here: [`FileService::commit`] runs it after its
-//! capability and state checks, so a `Commit` through this handler, a
-//! directory server over the same service and an in-process caller all
+//! capability and state checks, so a `Commit` through this handler and an
+//! in-process caller (directory code over the same service, say) both
 //! break the file's leases before the commit, and a refused one breaks none.
 
 use std::sync::Arc;

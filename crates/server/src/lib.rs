@@ -20,26 +20,22 @@
 //! * [`block`] — the same façade one layer down: [`BlockServerProcess`] serves a
 //!   disk over the network, [`RemoteBlockStore`] is the client-side
 //!   `BlockStore` that talks to it, and a commit flush reaches each remote
-//!   replica as a single `WriteBlocks` scatter-gather RPC,
-//! * [`dir`] — the same façade one layer *up*: [`DirServerHandler`] serves the
-//!   naming hierarchy (directories stored as ordinary files, crate `afs-dir`)
-//!   over `LocalNetwork` or TCP next to the file shards, and
-//!   [`DirServerProcess`] is the crash/restartable process wrapper.  Directory
-//!   servers are stateless beyond the file service underneath, so a crashed
-//!   one is simply failed over like any file-server process.
+//!   replica as a single `WriteBlocks` scatter-gather RPC.
+//!
+//! Naming needs no server of its own here: directories are ordinary files
+//! (crate `afs-dir`), so a client's `NamedStore` reaches them through the
+//! file protocol these processes already serve.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod dir;
 pub mod handler;
 pub mod ops;
 pub mod process;
 
 pub use afs_core::{FsError, DEFAULT_LEASE_TTL};
 pub use block::{remote_replica_set, BlockServerHandler, BlockServerProcess, RemoteBlockStore};
-pub use dir::{DirServerHandler, DirServerProcess};
 pub use handler::FileServerHandler;
-pub use ops::{FsOp, ServerError};
+pub use ops::FsOp;
 pub use process::{ClusterShard, ServerGroup, ServerProcess, ShardedCluster};

@@ -79,12 +79,6 @@ impl FsOp {
     }
 }
 
-/// The unified file-service error, re-exported so existing
-/// `afs_server::ServerError` users keep compiling: the historical client-side
-/// error enum has been absorbed into [`afs_core::FsError`] (its
-/// `Remote`/`Protocol`/`Transport` variants).
-pub type ServerError = FsError;
-
 // ---------------------------------------------------------------------------
 // Error marshalling: one code byte + detail.
 // ---------------------------------------------------------------------------

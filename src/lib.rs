@@ -25,9 +25,9 @@
 //!   real TCP ([`amoeba_rpc::tcp`]),
 //! * [`afs_dir`] — the **directory service**: a capability-named hierarchy
 //!   whose directories are ordinary files of the file service, every mutation
-//!   an OCC transaction ([`afs_dir::DirStore`]; served over RPC by
-//!   [`afs_server::DirServerHandler`], resolved client-side by
-//!   [`afs_client::NamedStore`] with a generation-checked prefix cache),
+//!   an OCC transaction ([`afs_dir::DirStore`]; resolved client-side by
+//!   [`afs_client::NamedStore`] with a generation-checked prefix cache, and
+//!   reached remotely through the file protocol like any other file),
 //! * [`afs_server`] / [`afs_client`] — server processes and the client library
 //!   ([`afs_client::RemoteFs`] implements `FileStore`, so everything written
 //!   against the trait runs over the wire unchanged, with k-page updates in
@@ -90,9 +90,9 @@
 //!
 //! ## Transport: one multiplexed RPC engine
 //!
-//! All three remote clients — [`afs_client::RemoteFs`] (files),
-//! [`afs_client::RemoteDir`] (directories) and `afs_server::RemoteBlockStore`
-//! (blocks) — are thin typed wrappers over a single generic
+//! Both remote clients — [`afs_client::RemoteFs`] (files, and therefore
+//! directories) and `afs_server::RemoteBlockStore` (blocks) — are thin typed
+//! wrappers over a single generic
 //! [`amoeba_rpc::MuxClient`].  The paper's transaction discipline is kept at
 //! the *logical* level (one request, one reply, at-most-once effect per
 //! attempt), but the wire no longer serialises: every frame carries a request
@@ -101,7 +101,9 @@
 //! id allocation, the pending-reply table, per-request deadlines, and the
 //! jittered-backoff failover sweep across server ports; the wrappers only
 //! encode operations and pick a [`amoeba_rpc::FailoverPolicy`] per call
-//! (idempotent reads retry anywhere, mutations never blind-retry).  The TCP
+//! (file operations retry anywhere, and a re-sent commit that already took
+//! effect answers `AlreadyCommitted`; block mutations make one attempt, so
+//! the replica set can depose the member).  The TCP
 //! transport ([`amoeba_rpc::tcp`]) serves with a leader/follower thread
 //! pool: one thread at a time polls the non-blocking sockets through the
 //! vendored epoll shim, and a thread that reads a request hands the polling
@@ -128,8 +130,8 @@
 //! because directories are ordinary files, a warm path resolution through
 //! [`afs_client::NamedStore`] — costs **zero RPCs**.  Every commit settles
 //! conflicting leases first, inside `FileService::commit` once its capability
-//! and state checks pass, whether it arrives through a file server, a
-//! directory server or an in-process caller: the service pushes a break frame
+//! and state checks pass, whether it arrives through a file server or from
+//! an in-process caller such as directory code over the service: the service pushes a break frame
 //! down the holder's multiplexed connection (a reserved request id marks
 //! server-initiated frames) and waits for the ack, bounded by the lease's own
 //! expiry, before the commit proceeds — so a lease never
@@ -152,7 +154,7 @@
 //!
 //! ```text
 //!   NamedStore (path resolution /a/b/c + prefix cache, afs_client)
-//!       │                 RemoteDir ── DirServerHandler (afs_server::dir)
+//!       │
 //!       └──────► DirStore (OCC directory transactions, afs_dir)
 //!                    │  directories are ordinary files
 //!                    ▼

@@ -9,8 +9,8 @@
 //!
 //! The **directory service** rides the same suite: a generic naming battery
 //! (`exercise_named_store`) runs over the local service and the sharded
-//! router, the counting transport proves a k-entry `ReadDir` through a
-//! directory server costs O(1) RPCs, a TCP sharded cluster survives a replica
+//! router, the counting transport proves a k-entry listing through `RemoteFs`
+//! costs O(1) RPCs in k, a TCP sharded cluster survives a replica
 //! killed mid-rename (resync restores `divergent_blocks() == []` and every
 //! path still resolves to the same capability from the recovered replica
 //! alone), and two clients racing renames of sibling entries in one directory
@@ -1002,13 +1002,64 @@ fn update_retries_conflicts_over_the_wire() {
     );
 }
 
+/// A transport that delivers the first `Commit` and then loses its reply.
+struct LoseFirstCommitReply<T: Transport> {
+    inner: T,
+    lost: std::sync::atomic::AtomicBool,
+}
+
+impl<T: Transport> Transport for LoseFirstCommitReply<T> {
+    fn transact(&self, port: Port, request: Request) -> amoeba_rpc::Result<Reply> {
+        let commit = request.op == afs_server::FsOp::Commit as u32;
+        let reply = self.inner.transact(port, request)?;
+        if commit && !self.lost.swap(true, Ordering::SeqCst) {
+            return Err(amoeba_rpc::RpcError::Dropped);
+        }
+        Ok(reply)
+    }
+
+    fn register_callback_sink(&self, sink: Arc<dyn amoeba_rpc::CallbackSink>) -> bool {
+        self.inner.register_callback_sink(sink)
+    }
+}
+
+/// A commit that took effect but whose reply was lost is re-sent to the
+/// other server, which answers `AlreadyCommitted`; `update` reports that as
+/// the one successful attempt instead of running the closure again.  This is
+/// what keeps a directory mutation from being applied twice.
+#[test]
+fn a_commit_whose_reply_is_lost_is_reported_once_and_not_redone() {
+    let network = Arc::new(LocalNetwork::new());
+    let service = FileService::in_memory();
+    let group = ServerGroup::start(&network, &service, 2);
+    let lossy = LoseFirstCommitReply {
+        inner: Arc::clone(&network),
+        lost: Default::default(),
+    };
+    let remote = RemoteFs::new(lossy, group.ports());
+    let file = remote.create_file().unwrap();
+
+    let mut runs = 0;
+    let committed = remote
+        .update_with(&file, RetryPolicy::default(), |tx| {
+            runs += 1;
+            tx.append(&PagePath::root(), Bytes::from_static(b"once"))
+        })
+        .expect("a commit whose reply was lost still succeeded");
+    assert_eq!(committed.attempts, 1);
+    assert_eq!(runs, 1, "the closure must not be redone");
+
+    let current = remote.current_version(&file).unwrap();
+    let page = remote.read_committed_page(&current, &committed.value);
+    assert_eq!(page.unwrap(), Bytes::from_static(b"once"));
+}
+
 // ===========================================================================
 // Directory-service conformance.
 // ===========================================================================
 
-use afs_client::{NamedStore, RemoteDir};
+use afs_client::NamedStore;
 use afs_dir::{DirError, DirStore, EntryKind};
-use afs_server::DirServerProcess;
 use amoeba_capability::Rights;
 
 /// The generic naming battery: hierarchy building, path resolution, rights
@@ -1116,49 +1167,35 @@ fn named_store_conforms_over_a_remote_sharded_cluster() {
     exercise_named_store(remote);
 }
 
-/// A k-entry `ReadDir` through a directory server is ONE transaction: the
-/// server walks its (ordinary-file) directory table and ships every entry in a
-/// single reply, independent of k.
+/// Listing a directory costs O(1) RPCs in its entry count: a directory is an
+/// ordinary file whose entries share one chunk page, so a 40-entry listing
+/// through `RemoteFs` costs exactly as many round trips as a 1-entry one.
 #[test]
 fn a_k_entry_read_dir_costs_o1_rpcs() {
     let network = Arc::new(LocalNetwork::new());
     let service = FileService::in_memory();
-    let process =
-        DirServerProcess::create(Arc::clone(&network), Arc::clone(&service)).expect("dir server");
-    let counting = CountingTransport::new(Arc::clone(&network));
-    let client = RemoteDir::new(counting, vec![process.port()]);
+    let group = ServerGroup::start(&network, &service, 1);
+    let counting = Arc::new(CountingTransport::new(Arc::clone(&network)));
+    let dirs = DirStore::new(RemoteFs::new(Arc::clone(&counting), group.ports()));
+    let root = dirs.create_root().expect("root over RPC");
 
-    let root = client.root().expect("root over RPC");
-    let k = 40;
-    for i in 0..k {
-        let file = service.create_file().unwrap();
-        client
-            .link(
-                &root,
-                &format!("entry{i:02}"),
-                file,
-                Rights::READ,
-                EntryKind::File,
-            )
-            .expect("link over RPC");
-    }
-
-    let before = client.transport().round_trips();
-    let entries = client.read_dir(&root).expect("readdir over RPC");
-    let trips = client.transport().round_trips() - before;
-    assert_eq!(entries.len(), k);
+    // Grows the directory to `k` entries and returns what listing it costs.
+    let listing_cost = |k: usize| {
+        for i in dirs.read_dir(&root).unwrap().len()..k {
+            let file = service.create_file().unwrap();
+            dirs.link(&root, &format!("e{i}"), file, Rights::READ, EntryKind::File)
+                .expect("link over RPC");
+        }
+        let before = counting.round_trips();
+        assert_eq!(dirs.read_dir(&root).expect("readdir over RPC").len(), k);
+        counting.round_trips() - before
+    };
+    let one = listing_cost(1);
     assert_eq!(
-        trips, 1,
-        "a {k}-entry ReadDir must cost exactly one RPC, used {trips}"
+        listing_cost(40),
+        one,
+        "40 entries must list in as many RPCs as 1"
     );
-
-    // Lookup and rename are single transactions too.
-    let before = client.transport().round_trips();
-    client.lookup(&root, "entry00", Rights::READ).unwrap();
-    assert_eq!(client.transport().round_trips() - before, 1);
-    let before = client.transport().round_trips();
-    client.rename(&root, "entry00", &root, "renamed").unwrap();
-    assert_eq!(client.transport().round_trips() - before, 1);
 }
 
 /// The acceptance race: two clients rename *sibling* entries of one directory
@@ -1471,7 +1508,7 @@ fn lease_through_one_port_is_broken_through_another(
     assert!(!validation.keeps(&page));
 }
 
-/// A commit made in process breaks leases too: a directory server over the
+/// A commit made in process breaks leases too: directory code over the
 /// service itself commits through `FileService::commit`, and a reader that
 /// leased the directory file through a file-server port sees the break and
 /// pays one RPC for the new table.
@@ -1480,9 +1517,8 @@ fn a_dir_server_commit_in_process_breaks_a_lease_granted_through_a_file_port() {
     let network = Arc::new(LocalNetwork::new());
     let service = FileService::in_memory();
     let group = ServerGroup::start(&network, &service, 1);
-    let root = DirStore::new(Arc::clone(&service)).create_root().unwrap();
-    let dir_server = DirServerProcess::start(Arc::clone(&network), Arc::clone(&service), root);
-    let dirs = RemoteDir::new(Arc::clone(&network), vec![dir_server.port()]);
+    let dirs = DirStore::new(Arc::clone(&service));
+    let root = dirs.create_root().unwrap();
     let counting = Arc::new(CountingTransport::new(network.connect()));
     let reader = RemoteFs::new(Arc::clone(&counting), group.ports());
 
@@ -1510,7 +1546,7 @@ fn a_dir_server_commit_in_process_breaks_a_lease_granted_through_a_file_port() {
     assert_eq!(
         reader.stats().leases_broken,
         broken + 1,
-        "the dir server's link must break the lease on the directory file"
+        "the in-process link must break the lease on the directory file"
     );
 
     let before = counting.round_trips();
